@@ -79,7 +79,11 @@ func TestHealRevivesParkedSubscription(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, el := range resp.Elements {
+		els, _, err := resp.ElementBatch()
+		if err != nil {
+			return false
+		}
+		for _, el := range els {
 			if el != nil && strings.EqualFold(el.ID, id) {
 				return true
 			}

@@ -340,20 +340,31 @@ func (c *Coordinator) absorb(ctx context.Context, errs []error) error {
 	return nil
 }
 
-// broadcast sends op to every shard concurrently.
-func (c *Coordinator) broadcast(ctx context.Context, op gserver.GraphOp) ([]gserver.Response, []error) {
-	resps := make([]gserver.Response, len(c.shards))
+// reply is one shard's decoded read reply: the aligned elements and, for
+// EdgesForVertices, the per-vertex groups over them.
+type reply struct {
+	els    []*graph.Element
+	groups [][]*graph.Element
+}
+
+// broadcast sends a read op to every shard concurrently. The reply of a
+// shard skipped in degraded mode is empty.
+func (c *Coordinator) broadcast(ctx context.Context, op gserver.GraphOp) ([]reply, error) {
+	replies := make([]reply, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i := range c.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = c.shards[i].do(ctx, op)
+			replies[i], errs[i] = c.shards[i].do(ctx, op)
 		}(i)
 	}
 	wg.Wait()
-	return resps, errs
+	if err := c.absorb(ctx, errs); err != nil {
+		return nil, err
+	}
+	return replies, nil
 }
 
 // route groups positions of ids by owning shard.
@@ -377,10 +388,11 @@ func (c *Coordinator) routeIDs(ids []string) map[int]*route {
 	return routes
 }
 
-// scatterRouted sends one op per involved shard concurrently.
+// scatterRouted sends one read op per involved shard concurrently. A shard
+// skipped in degraded mode has no entry in the result.
 func (c *Coordinator) scatterRouted(ctx context.Context, routes map[int]*route,
-	mkOp func(r *route) gserver.GraphOp) (map[int]gserver.Response, error) {
-	resps := make(map[int]gserver.Response, len(routes))
+	mkOp func(r *route) gserver.GraphOp) (map[int]reply, error) {
+	replies := make(map[int]reply, len(routes))
 	errAt := make([]error, len(c.shards))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -388,12 +400,12 @@ func (c *Coordinator) scatterRouted(ctx context.Context, routes map[int]*route,
 		wg.Add(1)
 		go func(s int, r *route) {
 			defer wg.Done()
-			resp, err := c.shards[s].do(ctx, mkOp(r))
+			rep, err := c.shards[s].do(ctx, mkOp(r))
 			mu.Lock()
 			if err != nil {
 				errAt[s] = err
 			} else {
-				resps[s] = resp
+				replies[s] = rep
 			}
 			mu.Unlock()
 		}(s, r)
@@ -402,7 +414,7 @@ func (c *Coordinator) scatterRouted(ctx context.Context, routes map[int]*route,
 	if err := c.absorb(ctx, errAt); err != nil {
 		return nil, err
 	}
-	return resps, nil
+	return replies, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -419,7 +431,7 @@ func (c *Coordinator) VerticesByIDs(ctx context.Context, ids []string, q *graph.
 		return nil, nil
 	}
 	routes := c.routeIDs(ids)
-	resps, err := c.scatterRouted(ctx, routes, func(r *route) gserver.GraphOp {
+	replies, err := c.scatterRouted(ctx, routes, func(r *route) gserver.GraphOp {
 		return gserver.GraphOp{Method: gserver.OpVerticesByIDs, IDs: r.ids, Query: q}
 	})
 	if err != nil {
@@ -427,18 +439,14 @@ func (c *Coordinator) VerticesByIDs(ctx context.Context, ids []string, q *graph.
 	}
 	out := make([]*graph.Element, len(ids))
 	for s, r := range routes {
-		resp, ok := resps[s]
+		rep, ok := replies[s]
 		if !ok {
 			continue // degraded: shard skipped, slots stay nil
 		}
-		els, err := resp.VertexElements()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
+		if len(rep.els) != len(r.ids) || rep.groups != nil {
+			return nil, fmt.Errorf("cluster: shard %d returned %d vertices for %d ids", s, len(rep.els), len(r.ids))
 		}
-		if len(els) != len(r.ids) {
-			return nil, fmt.Errorf("cluster: shard %d returned %d vertices for %d ids", s, len(els), len(r.ids))
-		}
-		for j, el := range els {
+		for j, el := range rep.els {
 			out[r.pos[j]] = el
 		}
 	}
@@ -457,7 +465,7 @@ func (c *Coordinator) EdgesForVertices(ctx context.Context, vids []string, dir g
 		return nil, nil
 	}
 	routes := c.routeIDs(vids)
-	resps, err := c.scatterRouted(ctx, routes, func(r *route) gserver.GraphOp {
+	replies, err := c.scatterRouted(ctx, routes, func(r *route) gserver.GraphOp {
 		return gserver.GraphOp{Method: gserver.OpEdgesForVertices, IDs: r.ids, Dir: dir, Query: q}
 	})
 	if err != nil {
@@ -465,15 +473,15 @@ func (c *Coordinator) EdgesForVertices(ctx context.Context, vids []string, dir g
 	}
 	out := make([][]*graph.Element, len(vids))
 	for s, r := range routes {
-		resp, ok := resps[s]
+		rep, ok := replies[s]
 		if !ok {
 			continue // degraded: groups for this shard stay nil
 		}
-		if len(resp.Groups) != len(r.ids) {
-			return nil, fmt.Errorf("cluster: shard %d returned %d groups for %d vertices", s, len(resp.Groups), len(r.ids))
+		if len(rep.groups) != len(r.ids) {
+			return nil, fmt.Errorf("cluster: shard %d returned %d groups for %d vertices", s, len(rep.groups), len(r.ids))
 		}
-		for j, g := range resp.Groups {
-			out[r.pos[j]] = gserver.FromWireElements(g)
+		for j, g := range rep.groups {
+			out[r.pos[j]] = g
 		}
 	}
 	return out, nil
@@ -513,13 +521,13 @@ func (c *Coordinator) V(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 	}
 	sub := q.Clone()
 	sub.Limit = 0
-	resps, errs := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpV, Query: sub})
-	if err := c.absorb(ctx, errs); err != nil {
+	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpV, Query: sub})
+	if err != nil {
 		return nil, err
 	}
 	var merged []*graph.Element
-	for i, resp := range resps {
-		for _, el := range gserver.FromWireElements(resp.Elements) {
+	for i, rep := range replies {
+		for _, el := range rep.els {
 			if el != nil && c.m.Shard(el.ID) == i {
 				merged = append(merged, el)
 			}
@@ -537,13 +545,13 @@ func (c *Coordinator) E(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 	}
 	sub := q.Clone()
 	sub.Limit = 0
-	resps, errs := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpE, Query: sub})
-	if err := c.absorb(ctx, errs); err != nil {
+	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpE, Query: sub})
+	if err != nil {
 		return nil, err
 	}
 	var merged []*graph.Element
-	for _, resp := range resps {
-		for _, el := range gserver.FromWireElements(resp.Elements) {
+	for _, rep := range replies {
+		for _, el := range rep.els {
 			if el != nil {
 				merged = append(merged, el)
 			}
@@ -888,22 +896,23 @@ func (s *shard) close() {
 }
 
 // do performs one idempotent read against this shard under the full
-// robustness pipeline: breaker admission, hedged attempts, and jittered
-// capped-backoff retries that never sleep past the caller's deadline.
-// Availability-class failures come back as *ShardError (matching
-// ErrShardUnavailable); execution failures pass through untouched.
-func (s *shard) do(ctx context.Context, op gserver.GraphOp) (gserver.Response, error) {
+// robustness pipeline — breaker admission, hedged attempts, and jittered
+// capped-backoff retries that never sleep past the caller's deadline — and
+// returns the decoded reply. Availability-class failures come back as
+// *ShardError (matching ErrShardUnavailable); execution failures pass
+// through untouched.
+func (s *shard) do(ctx context.Context, op gserver.GraphOp) (reply, error) {
 	s.requests.Inc()
 	ok, probe := s.breaker.Allow()
 	if !ok {
 		// Primary unreachable. Before fast-failing, a read may be served
 		// from the shard's replication follower when the caller opted in
 		// and the follower's reported lag is within bounds.
-		if resp, served := s.tryReplicaRead(ctx, op); served {
-			return resp, nil
+		if rep, served := s.tryReplicaRead(ctx, op); served {
+			return rep, nil
 		}
 		s.failures.Inc()
-		return gserver.Response{}, &ShardError{Shard: s.idx, Addr: s.addr, Err: errBreakerOpen}
+		return reply{}, &ShardError{Shard: s.idx, Addr: s.addr, Err: errBreakerOpen}
 	}
 	// A half-open probe must resolve the breaker on EVERY exit path. Paths
 	// that produce no availability verdict — the caller's context ends
@@ -933,11 +942,11 @@ func (s *shard) do(ctx context.Context, op gserver.GraphOp) (gserver.Response, e
 			}
 			s.retries.Inc()
 		}
-		resp, err := s.attempt(ctx, op)
+		rep, err := s.attempt(ctx, op)
 		if err == nil {
 			resolved = true
 			s.breaker.Success()
-			return resp, nil
+			return rep, nil
 		}
 		lastErr = err
 		if !availabilityFailure(err) {
@@ -949,7 +958,7 @@ func (s *shard) do(ctx context.Context, op gserver.GraphOp) (gserver.Response, e
 				resolved = true
 				s.breaker.Success()
 			}
-			return gserver.Response{}, err
+			return reply{}, err
 		}
 		s.failures.Inc()
 		if !errors.Is(err, gserver.ErrOverloaded) {
@@ -962,7 +971,16 @@ func (s *shard) do(ctx context.Context, op gserver.GraphOp) (gserver.Response, e
 			break
 		}
 	}
-	return gserver.Response{}, &ShardError{Shard: s.idx, Addr: s.addr, Err: lastErr}
+	return reply{}, &ShardError{Shard: s.idx, Addr: s.addr, Err: lastErr}
+}
+
+// decode extracts the element batch of a read reply from this shard.
+func (s *shard) decode(resp gserver.Response) (reply, error) {
+	els, groups, err := resp.ElementBatch()
+	if err != nil {
+		return reply{}, fmt.Errorf("cluster: shard %d: %w", s.idx, err)
+	}
+	return reply{els: els, groups: groups}, nil
 }
 
 // attempt performs one (possibly hedged) exchange. The hedge fires on the
@@ -973,11 +991,11 @@ func (s *shard) do(ctx context.Context, op gserver.GraphOp) (gserver.Response, e
 // connection is torn down (abandon) so the next exchange on that slot
 // dials fresh instead of serializing behind a dead exchange draining
 // against its socket deadline.
-func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (gserver.Response, error) {
+func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (reply, error) {
 	type outcome struct {
-		resp gserver.Response
-		err  error
-		ci   int
+		rep reply
+		err error
+		ci  int
 	}
 	ch := make(chan outcome, 2)
 	// liveCl publishes each attempt's client before the exchange starts, so
@@ -986,18 +1004,24 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (gserver.Respon
 	var liveCl [2]atomic.Pointer[gserver.Client]
 	call := func(ci int) {
 		cl, err := s.conns[ci].get()
-		var resp gserver.Response
+		var rep reply
 		if err == nil {
 			liveCl[ci].Store(cl)
 			start := time.Now()
+			var resp gserver.Response
 			resp, err = cl.GraphOpCtx(ctx, op)
+			// Decoding the element batch is part of the exchange, as
+			// decoding the JSON frame around it is.
+			if err == nil {
+				rep, err = s.decode(resp)
+			}
 			if err == nil {
 				d := time.Since(start)
 				s.latency.Observe(d)
 				s.observeLatency(d)
 			}
 		}
-		ch <- outcome{resp: resp, err: err, ci: ci}
+		ch <- outcome{rep: rep, err: err, ci: ci}
 	}
 	inflight := [2]bool{true, false}
 	abandon := func() {
@@ -1027,13 +1051,13 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (gserver.Respon
 					s.hedgeWins.Inc()
 				}
 				abandon() // cut a still-pending losing attempt loose
-				return o.resp, nil
+				return o.rep, nil
 			}
 			if firstErr == nil {
 				firstErr = o.err
 			}
 			if pending == 0 {
-				return gserver.Response{}, firstErr
+				return reply{}, firstErr
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -1046,7 +1070,7 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (gserver.Respon
 			// from under them, the blocked exchanges fail immediately, and
 			// their outcomes park in the buffered channel.
 			abandon()
-			return gserver.Response{}, ctx.Err()
+			return reply{}, ctx.Err()
 		}
 	}
 }

@@ -171,38 +171,42 @@ func (s *shard) fenceLoop(addr string, epoch uint64) {
 // primary is unreachable, bounded by the follower's reported replication
 // lag. Returns false when replica reads are off, no follower exists (or it
 // was consumed by failover), the follower is unhealthy, or it is too stale.
-func (s *shard) tryReplicaRead(ctx context.Context, op gserver.GraphOp) (gserver.Response, bool) {
+func (s *shard) tryReplicaRead(ctx context.Context, op gserver.GraphOp) (reply, bool) {
 	if !s.cfg.ReplicaReads {
-		return gserver.Response{}, false
+		return reply{}, false
 	}
 	s.rmu.Lock()
 	rcl := s.replicaCl
 	ok := !s.failedOver && s.replicaAddr != ""
 	s.rmu.Unlock()
 	if !ok || rcl == nil {
-		return gserver.Response{}, false
+		return reply{}, false
 	}
 	cl, err := rcl.get()
 	if err != nil {
-		return gserver.Response{}, false
+		return reply{}, false
 	}
 	hctx, cancel := context.WithTimeout(ctx, s.cfg.HealthTimeout)
 	h, err := cl.HealthCtx(hctx)
 	cancel()
 	if err != nil {
 		rcl.close()
-		return gserver.Response{}, false
+		return reply{}, false
 	}
 	if h.Role != gserver.RoleFollower || h.ReplicationLagRecords > s.cfg.MaxReplicaLag {
-		return gserver.Response{}, false
+		return reply{}, false
 	}
 	resp, err := cl.GraphOpCtx(ctx, op)
 	if err != nil {
 		rcl.close()
-		return gserver.Response{}, false
+		return reply{}, false
+	}
+	rep, err := s.decode(resp)
+	if err != nil {
+		return reply{}, false
 	}
 	s.replReads.Inc()
-	return resp, true
+	return rep, true
 }
 
 // ---------------------------------------------------------------------------

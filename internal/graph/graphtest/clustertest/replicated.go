@@ -139,7 +139,11 @@ func dumpServer(t *testing.T, addr string) string {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", method, addr, err)
 		}
-		for _, el := range resp.Elements {
+		els, _, err := resp.ElementBatch()
+		if err != nil {
+			t.Fatalf("%s on %s: %v", method, addr, err)
+		}
+		for _, el := range els {
 			if el == nil {
 				continue
 			}

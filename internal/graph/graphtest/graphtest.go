@@ -7,7 +7,10 @@ package graphtest
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"db2graph/internal/graph"
@@ -248,4 +251,30 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	if len(prof.Steps) == 0 || prof.Steps[len(prof.Steps)-1].Out != 1 {
 		t.Fatalf("script profile() report wrong:\n%s", prof)
 	}
+}
+
+// RenderBits serializes an element list, order included, with every field,
+// whether Props is nil, and each property value with its float as raw bits,
+// so NaN payloads and signed zeros compare exactly. nil entries render as
+// "-".
+func RenderBits(els []*graph.Element) string {
+	var sb strings.Builder
+	for _, el := range els {
+		if el == nil {
+			sb.WriteString("-;")
+			continue
+		}
+		keys := make([]string, 0, len(el.Props))
+		for k := range el.Props {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&sb, "%s|%s|%s|%v|%s->%s|nilprops=%v", el.ID, el.Label, el.Table, el.IsEdge, el.OutV, el.InV, el.Props == nil)
+		for _, k := range keys {
+			v := el.Props[k]
+			fmt.Fprintf(&sb, "|%s=%d:%d:%x:%q", k, v.Kind, v.I, math.Float64bits(v.F), v.S)
+		}
+		sb.WriteString(";")
+	}
+	return sb.String()
 }

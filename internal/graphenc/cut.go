@@ -15,7 +15,9 @@ import (
 // immutable views; they keep the backing blob alive, which is exactly the
 // lifetime a decode cache wants.
 
-// CutUvarint decodes a varint-encoded unsigned integer from s.
+// CutUvarint decodes a varint-encoded unsigned integer from s. Only the
+// minimal encoding binary.AppendUvarint produces is accepted: a redundant
+// trailing zero group is an error, so each value has exactly one encoding.
 func CutUvarint(s string) (uint64, string, error) {
 	var x uint64
 	var shift uint
@@ -24,6 +26,9 @@ func CutUvarint(s string) (uint64, string, error) {
 		if b < 0x80 {
 			if i > 9 || i == 9 && b > 1 {
 				return 0, "", fmt.Errorf("graphenc: uvarint overflow")
+			}
+			if i > 0 && b == 0 {
+				return 0, "", fmt.Errorf("graphenc: non-minimal uvarint")
 			}
 			return x | uint64(b)<<shift, s[i+1:], nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,18 +14,38 @@ import (
 	"db2graph/internal/graph"
 	"db2graph/internal/graph/graphtest"
 	"db2graph/internal/gremlin"
+	"db2graph/internal/sql/types"
+	"db2graph/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------------
 // GraphOp wire protocol
 
-// TestGraphOpRoundTrip proves the four remote batch methods return exactly
-// what the local backend returns — elements, alignment, and nil slots all
-// survive the wire codec.
+// specialFloats are the float properties JSON cannot carry: a NaN with a
+// payload, both infinities, and negative zero.
+var specialFloats = map[string]types.Value{
+	"nan":   types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)),
+	"pinf":  types.NewFloat(math.Inf(1)),
+	"ninf":  types.NewFloat(math.Inf(-1)),
+	"nzero": types.NewFloat(math.Copysign(0, -1)),
+}
+
+// TestGraphOpRoundTrip proves the four remote read methods return exactly
+// what the local backend returns, decoded through the one
+// Response.ElementBatch decoder: elements, alignment, nil slots, nil and
+// empty groups, propless elements, a dual-homed edge with its ghost
+// endpoint, and float properties JSON cannot carry, all bit-exact.
 func TestGraphOpRoundTrip(t *testing.T) {
-	addr, _ := startServer(t)
 	m := graph.NewMemBackend()
 	vs, es := graphtest.Dataset()
+	vs = append(vs,
+		&graph.Element{ID: "f1", Label: "float", Props: specialFloats},
+		&graph.Element{ID: "bare", Label: "float"}, // propless, isolated
+	)
+	es = append(es,
+		&graph.Element{ID: "ef1", Label: "weighs", IsEdge: true, OutV: "f1", InV: "p1", Props: specialFloats},
+		&graph.Element{ID: "ef2", Label: "weighs", IsEdge: true, OutV: "p2", InV: "f1"}, // propless edge
+	)
 	for _, v := range vs {
 		if err := m.AddVertex(v); err != nil {
 			t.Fatal(err)
@@ -35,38 +56,58 @@ func TestGraphOpRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch := graph.Batched(m)
+	srv := NewWithConfig(gremlin.NewSource(m), Config{Registry: telemetry.NewRegistry()})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
+	batch := graph.Batched(m)
 
-	render := func(els []*graph.Element) string {
-		var sb strings.Builder
-		for _, el := range els {
-			if el == nil {
-				sb.WriteString("-;")
-				continue
-			}
-			fmt.Fprintf(&sb, "%s|%s|%s->%s|%v;", el.ID, el.Label, el.OutV, el.InV, el.Props)
+	// A dual-homed edge, placed the way the coordinator places one whose
+	// in-vertex lives on another shard: the server upserts a ghost copy of
+	// the remote endpoint before inserting the edge.
+	ghost := &WireElement{ID: "remote9", Label: "disease"}
+	if _, err := c.GraphOp(addEdgeOp("dual1", &WireElement{ID: "p3", Label: "patient"}, ghost)); err != nil {
+		t.Fatalf("dual-homed AddEdge: %v", err)
+	}
+
+	read := func(t *testing.T, op GraphOp) ([]*graph.Element, [][]*graph.Element) {
+		t.Helper()
+		resp, err := c.GraphOp(op)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return sb.String()
+		els, groups, err := resp.ElementBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return els, groups
+	}
+	same := func(t *testing.T, what string, got, want []*graph.Element) {
+		t.Helper()
+		if g, w := graphtest.RenderBits(got), graphtest.RenderBits(want); g != w {
+			t.Fatalf("remote %s diverged\n got: %s\nwant: %s", what, g, w)
+		}
 	}
 
 	t.Run("V", func(t *testing.T) {
-		q := &graph.Query{Labels: []string{"patient"}}
-		want, err := m.V(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := c.GraphOp(GraphOp{Method: OpV, Query: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(FromWireElements(resp.Elements)); got != render(want) {
-			t.Fatalf("remote V diverged\n got: %s\nwant: %s", got, render(want))
+		for _, q := range []*graph.Query{nil, {Labels: []string{"patient"}}, {Labels: []string{"float"}}} {
+			want, err := m.V(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, groups := read(t, GraphOp{Method: OpV, Query: q})
+			if groups != nil {
+				t.Fatal("V reply carried groups")
+			}
+			same(t, "V", got, want)
 		}
 	})
 
@@ -75,52 +116,48 @@ func TestGraphOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.GraphOp(GraphOp{Method: OpE, Query: &graph.Query{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(FromWireElements(resp.Elements)); got != render(want) {
-			t.Fatalf("remote E diverged\n got: %s\nwant: %s", got, render(want))
+		got, _ := read(t, GraphOp{Method: OpE, Query: &graph.Query{}})
+		same(t, "E", got, want)
+		if !strings.Contains(graphtest.RenderBits(got), "dual1|mentions||true|p3->remote9") {
+			t.Fatalf("dual-homed edge missing from E: %s", graphtest.RenderBits(got))
 		}
 	})
 
 	t.Run("VerticesByIDs", func(t *testing.T) {
-		// "nope" exercises nil-slot preservation across the wire.
-		ids := []string{"p2", "nope", "p1", "p2"}
+		// "nope" exercises nil-slot preservation across the wire; "bare"
+		// a nil Props map; "remote9" the ghost endpoint.
+		ids := []string{"p2", "nope", "f1", "bare", "remote9", "p2"}
 		want, err := batch.VerticesByIDs(ctx, ids, &graph.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.GraphOp(GraphOp{Method: OpVerticesByIDs, IDs: ids, Query: &graph.Query{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		els, err := resp.VertexElements()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(els); got != render(want) {
-			t.Fatalf("remote VerticesByIDs diverged\n got: %s\nwant: %s", got, render(want))
+		got, _ := read(t, GraphOp{Method: OpVerticesByIDs, IDs: ids, Query: &graph.Query{}})
+		same(t, "VerticesByIDs", got, want)
+		if got[1] != nil || got[3] == nil || got[3].Props != nil {
+			t.Fatalf("nil slot or propless vertex lost: %s", graphtest.RenderBits(got))
 		}
 	})
 
 	t.Run("EdgesForVertices", func(t *testing.T) {
-		vids := []string{"p1", "d10", "p3"}
+		// "bare" has no edges (an empty group); "nope" does not exist;
+		// "remote9" holds only the dual-homed edge.
+		vids := []string{"p1", "bare", "f1", "nope", "remote9", "d10"}
 		want, err := batch.EdgesForVertices(ctx, vids, graph.DirBoth, &graph.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.GraphOp(GraphOp{Method: OpEdgesForVertices, IDs: vids, Dir: graph.DirBoth, Query: &graph.Query{}})
-		if err != nil {
-			t.Fatal(err)
+		_, groups := read(t, GraphOp{Method: OpEdgesForVertices, IDs: vids, Dir: graph.DirBoth, Query: &graph.Query{}})
+		if len(groups) != len(want) {
+			t.Fatalf("got %d groups, want %d", len(groups), len(want))
 		}
-		if len(resp.Groups) != len(want) {
-			t.Fatalf("got %d groups, want %d", len(resp.Groups), len(want))
-		}
-		for i, g := range resp.Groups {
-			if got := render(FromWireElements(g)); got != render(want[i]) {
-				t.Fatalf("group %d diverged\n got: %s\nwant: %s", i, got, render(want[i]))
+		for i := range groups {
+			if (groups[i] == nil) != (want[i] == nil) {
+				t.Fatalf("group %d (%s): nil=%v, want nil=%v", i, vids[i], groups[i] == nil, want[i] == nil)
 			}
+			same(t, "group "+vids[i], groups[i], want[i])
+		}
+		if len(groups[1]) != 0 || len(groups[4]) != 1 {
+			t.Fatalf("empty or dual-homed group wrong: %s / %s", graphtest.RenderBits(groups[1]), graphtest.RenderBits(groups[4]))
 		}
 	})
 

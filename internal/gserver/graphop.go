@@ -3,9 +3,12 @@
 // executes one graph.Backend / graph.BatchBackend read directly against the
 // server's backend, under the same lifecycle as a query (admission control,
 // deadline, panic isolation). The cluster coordinator speaks this protocol
-// to scatter batched lookups to shard servers; results travel as
-// WireElement values that round-trip graph.Element exactly (minus the
-// provider-opaque Ref field, which is an optimization hint, not data).
+// to scatter batched lookups to shard servers. Every read reply carries its
+// elements in one shape: a binary graphenc.ColumnBatch in Response.Columns
+// that round-trips graph.Element bit-exactly (NaN and signed-zero floats
+// included), minus the provider-opaque Ref field, which is an optimization
+// hint, not data. WireElement is the JSON element shape of mutation and
+// replication payloads only.
 package gserver
 
 import (
@@ -66,11 +69,13 @@ type GraphOp struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// WireElement is the JSON shape of a graph.Element. types.Value is a flat
-// tagged union of exported fields, so properties round-trip bit-exactly
-// (JSON encodes int64 digits literally and floats in shortest round-trip
-// form). Ref is deliberately dropped: it is a provider-local optimization
-// handle with no meaning across the wire.
+// WireElement is the JSON shape of a graph.Element in mutation and
+// replication payloads. types.Value is a flat tagged union of exported
+// fields, so properties round-trip bit-exactly (JSON encodes int64 digits
+// literally and floats in shortest round-trip form), except that JSON has
+// no NaN or ±Inf: such a property cannot be written through this shape.
+// Ref is deliberately dropped: it is a provider-local optimization handle
+// with no meaning across the wire.
 type WireElement struct {
 	ID     string                 `json:"id"`
 	Label  string                 `json:"label,omitempty"`
@@ -103,40 +108,6 @@ func (w *WireElement) FromWire() *graph.Element {
 	}
 }
 
-// ToWireElements converts an element slice, preserving nil slots. All wire
-// elements share one backing array sized from the batch, so a group of n
-// elements costs two allocations instead of n+1.
-func ToWireElements(els []*graph.Element) []*WireElement {
-	if els == nil {
-		return nil
-	}
-	out := make([]*WireElement, len(els))
-	backing := make([]WireElement, len(els))
-	for i, el := range els {
-		if el == nil {
-			continue
-		}
-		backing[i] = WireElement{
-			ID: el.ID, Label: el.Label, Props: el.Props,
-			IsEdge: el.IsEdge, OutV: el.OutV, InV: el.InV, Table: el.Table,
-		}
-		out[i] = &backing[i]
-	}
-	return out
-}
-
-// FromWireElements converts a wire slice back, preserving nil slots.
-func FromWireElements(ws []*WireElement) []*graph.Element {
-	if ws == nil {
-		return nil
-	}
-	out := make([]*graph.Element, len(ws))
-	for i, w := range ws {
-		out[i] = w.FromWire()
-	}
-	return out
-}
-
 // graphOpResponse executes one graph operation against the server's batched
 // backend view. Called from the query goroutine, so panics are isolated by
 // the same recover as Gremlin execution and ctx carries the request
@@ -148,32 +119,25 @@ func (s *Server) graphOpResponse(ctx context.Context, op *GraphOp) Response {
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{Elements: ToWireElements(els)}
+		return Response{reply: &elementReply{els: els}}
 	case OpE:
 		els, err := s.batch.E(ctx, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{Elements: ToWireElements(els)}
+		return Response{reply: &elementReply{els: els}}
 	case OpVerticesByIDs:
 		els, err := s.batch.VerticesByIDs(ctx, op.IDs, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		// Vertex batches travel columnar: one column header per property
-		// key shared across the batch instead of per-row JSON maps. The
-		// client reassembles the aligned slice via Response.VertexElements.
-		return Response{Columns: graphenc.AppendColumns(nil, graph.ColumnizeVertices(els))}
+		return Response{reply: &elementReply{els: els}}
 	case OpEdgesForVertices:
 		groups, err := s.batch.EdgesForVertices(ctx, op.IDs, op.Dir, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		wire := make([][]*WireElement, len(groups))
-		for i, g := range groups {
-			wire[i] = ToWireElements(g)
-		}
-		return Response{Groups: wire}
+		return Response{reply: &elementReply{groups: groups, grouped: true}}
 	case OpAddVertex, OpAddEdge:
 		return s.applyMutation(ctx, op)
 	default:
@@ -181,19 +145,39 @@ func (s *Server) graphOpResponse(ctx context.Context, op *GraphOp) Response {
 	}
 }
 
-// VertexElements returns the aligned vertex rows of a VerticesByIDs
-// response, decoding the columnar payload when present and falling back to
-// the row-oriented Elements form (older servers, V/E responses). Slot
-// alignment is preserved either way: unresolved ids stay nil.
-func (r *Response) VertexElements() ([]*graph.Element, error) {
-	if len(r.Columns) > 0 {
-		cb, err := graphenc.DecodeColumns(r.Columns)
-		if err != nil {
-			return nil, fmt.Errorf("gserver: bad columnar vertex payload: %w", err)
-		}
-		return graph.VerticesFromColumns(cb), nil
+// elementReply is a read op's result awaiting serialization into
+// Response.Columns. grouped marks an EdgesForVertices result, whose groups
+// may legitimately be nil.
+type elementReply struct {
+	els     []*graph.Element
+	groups  [][]*graph.Element
+	grouped bool
+}
+
+// appendTo columnizes the result and appends it to buf as one element
+// batch.
+func (r *elementReply) appendTo(buf []byte) []byte {
+	if r.grouped {
+		return graphenc.AppendColumns(buf, graph.ColumnizeGroups(r.groups))
 	}
-	return FromWireElements(r.Elements), nil
+	return graphenc.AppendColumns(buf, graph.ColumnizeElements(r.els))
+}
+
+// ElementBatch decodes the Columns payload of a GraphOp read reply. els is
+// the aligned element slice of a V, E or VerticesByIDs reply (unresolved ids
+// stay nil slots); for an EdgesForVertices reply it is the concatenation of
+// the groups, and groups holds one aligned group per requested vertex id.
+// groups is nil for the other three ops.
+func (r *Response) ElementBatch() (els []*graph.Element, groups [][]*graph.Element, err error) {
+	if len(r.Columns) == 0 {
+		return nil, nil, fmt.Errorf("gserver: response carries no element batch")
+	}
+	cb, err := graphenc.DecodeColumns(r.Columns)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gserver: bad element batch: %w", err)
+	}
+	els, groups = graph.ElementsFromColumns(cb)
+	return els, groups, nil
 }
 
 // GraphOp is GraphOpCtx without a caller context.
@@ -201,9 +185,9 @@ func (c *Client) GraphOp(op GraphOp) (Response, error) {
 	return c.GraphOpCtx(context.Background(), op)
 }
 
-// GraphOpCtx performs one remote backend read under the client's full
-// deadline/retry policy and returns the raw Response (Elements for
-// V/E/VerticesByIDs, Groups for EdgesForVertices). Server-side failures
+// GraphOpCtx performs one remote backend operation under the client's full
+// deadline/retry policy and returns the raw Response (a read's elements are
+// decoded with Response.ElementBatch). Server-side failures
 // carry their typed sentinel for errors.Is, exactly like SubmitCtx.
 func (c *Client) GraphOpCtx(ctx context.Context, op GraphOp) (Response, error) {
 	return c.do(ctx, Request{GraphOp: &op})

@@ -152,18 +152,18 @@ type Response struct {
 	// with "statements" (per-statement step profiles) and "ops"
 	// (backend/SQL operation totals).
 	Profile any `json:"profile,omitempty"`
-	// Elements answers GraphOp V/E requests (aligned nil slots survive as
-	// JSON nulls).
-	Elements []*WireElement `json:"elements,omitempty"`
-	// Columns answers GraphOp VerticesByIDs requests with the columnar
-	// batch encoding (graphenc.ColumnBatch bytes, base64 in JSON): property
-	// keys shared across the batch are named once per batch instead of once
-	// per row. Decode with Response.VertexElements, which also accepts the
-	// row-oriented Elements form for compatibility.
+	// Columns answers every GraphOp read (V, E, VerticesByIDs,
+	// EdgesForVertices) with one binary element batch
+	// (graphenc.ColumnBatch bytes, base64 in JSON): property keys shared
+	// across the batch are named once instead of once per element, and
+	// float properties travel as raw bits, so NaN and ±Inf survive. Decode
+	// with Response.ElementBatch. Gremlin script Results stay JSON and so
+	// cannot carry a NaN or ±Inf value.
 	Columns []byte `json:"columns,omitempty"`
-	// Groups answers GraphOp EdgesForVertices requests: one aligned group
-	// per requested vertex id.
-	Groups [][]*WireElement `json:"groups,omitempty"`
+	// reply is a read op's result until writeResponse encodes it into
+	// Columns: element serialization belongs to the frame encoding, which
+	// runs after the request's timed execution.
+	reply *elementReply
 	// Health answers the "!health" control request.
 	Health *HealthInfo `json:"health,omitempty"`
 	// Storage answers the "!storage" control request.
@@ -466,8 +466,11 @@ func (s *Server) serveConn(conn net.Conn) {
 // cap (DESIGN.md §15).
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledFrame caps the capacity of a buffer returned to encBufPool so
-// one giant result frame does not pin its memory forever.
+// blobPool holds the element-batch encode buffers of read replies.
+var blobPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame caps the capacity of a buffer returned to encBufPool or
+// blobPool so one giant result frame does not pin its memory forever.
 const maxPooledFrame = 1 << 20
 
 // marshalFrame encodes v as one newline-terminated JSON frame into a pooled
@@ -493,6 +496,18 @@ func putFrame(buf *bytes.Buffer) {
 // writeResponse marshals and flushes one response frame. A marshal failure
 // degrades to a structured INTERNAL error frame instead of being dropped.
 func (s *Server) writeResponse(conn net.Conn, writer *bufio.Writer, resp Response) bool {
+	if resp.reply != nil {
+		// The frame encoder copies the batch (as base64), so its buffer
+		// goes back to the pool once the frame is encoded.
+		blob := blobPool.Get().(*[]byte)
+		resp.Columns = resp.reply.appendTo((*blob)[:0])
+		defer func() {
+			if cap(resp.Columns) <= maxPooledFrame {
+				*blob = resp.Columns
+				blobPool.Put(blob)
+			}
+		}()
+	}
 	buf, err := marshalFrame(resp)
 	if err != nil {
 		// Strings-only payload; cannot fail again.

@@ -14,8 +14,10 @@ import (
 )
 
 // startPair boots a primary/follower gserver pair over fresh MemBackends and
-// returns clients for both plus the servers. The follower subscribes to the
-// primary immediately.
+// returns clients for both plus the servers, once the primary reports the
+// follower's subscription: until then a primary acks writes solo (the
+// documented semi-sync contract), so a test asserting "acked means on the
+// follower" must not write earlier.
 func startPair(t *testing.T) (pc, fc *Client, primary, follower *Server) {
 	t.Helper()
 	pb, fb := graph.NewMemBackend(), graph.NewMemBackend()
@@ -54,6 +56,18 @@ func startPair(t *testing.T) (pc, fc *Client, primary, follower *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fc.Close() })
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h, err := pc.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ReplicaAttached {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never attached to the primary")
+		}
+	}
 	return pc, fc, primary, follower
 }
 
@@ -80,7 +94,11 @@ func dumpGraph(t *testing.T, c *Client) string {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		for _, el := range resp.Elements {
+		els, _, err := resp.ElementBatch()
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		for _, el := range els {
 			if el == nil {
 				continue
 			}
@@ -142,7 +160,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		t.Fatalf("follower write should be NOT_PRIMARY, got %v", err)
 	}
 	resp, err := fc.GraphOp(GraphOp{Method: OpVerticesByIDs, IDs: []string{"a"}})
-	els, _ := resp.VertexElements()
+	els, _, _ := resp.ElementBatch()
 	if err != nil || len(els) != 1 || els[0] == nil {
 		t.Fatalf("follower read: %v %+v", err, resp)
 	}
@@ -275,7 +293,7 @@ func TestGhostEndpointUpsert(t *testing.T) {
 	}
 	for _, c := range []*Client{pc, fc} {
 		resp, err := c.GraphOp(GraphOp{Method: OpVerticesByIDs, IDs: []string{"x1", "x2"}})
-		els, _ := resp.VertexElements()
+		els, _, _ := resp.ElementBatch()
 		if err != nil || len(els) != 2 || els[0] == nil || els[1] == nil {
 			t.Fatalf("ghost endpoints missing: %v %+v", err, resp)
 		}
@@ -305,7 +323,7 @@ func TestUnreplicatedMutations(t *testing.T) {
 		t.Fatalf("AddVertex: %v %+v", err, resp)
 	}
 	resp, err := c.GraphOp(GraphOp{Method: OpVerticesByIDs, IDs: []string{"a"}})
-	els, _ := resp.VertexElements()
+	els, _, _ := resp.ElementBatch()
 	if err != nil || len(els) != 1 || els[0] == nil {
 		t.Fatalf("read back: %v %+v", err, resp)
 	}

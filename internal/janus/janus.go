@@ -612,10 +612,10 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	}
 	if q != nil && len(q.Labels) > 0 {
 		for _, label := range q.Labels {
+			prefix := lvPrefix + label + "/"
 			stop := false
-			g.store.ScanPrefix(lvPrefix+label+"/", func(key string, _ []byte) bool {
-				id := key[len(lvPrefix)+len(label)+1:]
-				el, err := g.getVertex(id)
+			g.scanUnlocked(prefix, func(key, _ string) bool {
+				el, err := g.getVertex(key[len(prefix):])
 				if err != nil {
 					el = nil
 				}
@@ -694,11 +694,11 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		}
 		return out, nil
 	}
-	scanOwner := func(key, prefix string, value []byte) bool {
-		// value is the owning out-vertex; decode its adjacency to find the
+	scanOwner := func(key, owner string) bool {
+		// owner is the edge's out-vertex; decode its adjacency to find the
 		// edge (the whole-blob decode is intrinsic to the layout).
 		eid := key[strings.LastIndexByte(key, '/')+1:]
-		snap, err := g.getAdj(string(value))
+		snap, err := g.getAdj(owner)
 		if err != nil {
 			return true
 		}
@@ -711,10 +711,9 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	}
 	if q != nil && len(q.Labels) > 0 {
 		for _, label := range q.Labels {
-			prefix := lePrefix + label + "/"
 			stop := false
-			g.store.ScanPrefix(prefix, func(key string, value []byte) bool {
-				if !scanOwner(key, prefix, value) {
+			g.scanUnlocked(lePrefix+label+"/", func(key, owner string) bool {
+				if !scanOwner(key, owner) {
 					stop = true
 					return false
 				}
@@ -728,14 +727,58 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	}
 	var tickErr error
 	scanned := 0
-	g.store.ScanPrefix(ePrefix, func(key string, value []byte) bool {
+	g.scanUnlocked(ePrefix, func(key, owner string) bool {
 		if tickErr = graph.ScanTick(ctx, scanned); tickErr != nil {
 			return false
 		}
 		scanned++
-		return scanOwner(key, ePrefix, value)
+		return scanOwner(key, owner)
 	})
 	return out, tickErr
+}
+
+// scanChunk is how many keys one store scan of scanUnlocked collects before
+// the callback runs on them.
+const scanChunk = 256
+
+// testHookScanned, when a test sets it, runs under the store scan of
+// scanUnlocked after each collected key.
+var testHookScanned func()
+
+// scanUnlocked visits the keys under prefix in order, with their values,
+// like Store.ScanPrefix, but calls fn with no store lock held: each chunk
+// of scanChunk keys is collected under one store scan and handed to fn
+// after that scan has returned, so fn may read the store (getVertex,
+// getAdj): a store read inside a scan callback takes a second read lock,
+// which deadlocks as soon as a writer queues between the two. fn returns
+// false to stop; a stop, like a limit, ends the scan early, and at most one
+// chunk past the stopping key has been collected.
+func (g *Graph) scanUnlocked(prefix string, fn func(key, value string) bool) {
+	keys := make([]string, 0, scanChunk)
+	vals := make([]string, 0, scanChunk)
+	for start := prefix; ; {
+		keys, vals = keys[:0], vals[:0]
+		g.store.Scan(start, func(key string, value []byte) bool {
+			if !strings.HasPrefix(key, prefix) {
+				return false
+			}
+			keys = append(keys, key)
+			vals = append(vals, string(value))
+			if testHookScanned != nil {
+				testHookScanned()
+			}
+			return len(keys) < scanChunk
+		})
+		for i, key := range keys {
+			if !fn(key, vals[i]) {
+				return
+			}
+		}
+		if len(keys) < scanChunk {
+			return
+		}
+		start = keys[len(keys)-1] + "\x00"
+	}
 }
 
 // VertexEdges implements graph.Backend: resolves the adjacency lists of the

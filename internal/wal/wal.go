@@ -118,6 +118,7 @@ type Log struct {
 	closed     bool
 
 	flusherDone chan struct{} // non-nil iff a group-commit flusher runs
+	closing     chan struct{} // closed by Close; cuts the flusher's batching delay short
 	buf         []byte        // append scratch
 }
 
@@ -154,6 +155,7 @@ func newLog(fsys VFS, name string, f File, size int64, policy SyncPolicy) *Log {
 			l.policy.MaxDelay = 2 * time.Millisecond
 		}
 		l.flusherDone = make(chan struct{})
+		l.closing = make(chan struct{})
 		go l.flusher()
 	}
 	return l
@@ -281,7 +283,14 @@ func (l *Log) flusher() {
 		deadline := l.dirtySince.Add(l.policy.MaxDelay)
 		l.mu.Unlock()
 		if d := time.Until(deadline); d > 0 {
-			time.Sleep(d)
+			// Close syncs everything itself and then waits for this
+			// goroutine, so it must not sit out a long MaxDelay.
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-l.closing:
+				t.Stop()
+			}
 		}
 		l.mu.Lock()
 		l.syncLocked(l.appended)
@@ -323,6 +332,9 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.cond.Broadcast()
 	done := l.flusherDone
+	if l.closing != nil {
+		close(l.closing)
+	}
 	l.mu.Unlock()
 	if done != nil {
 		<-done
