@@ -181,6 +181,10 @@ func TestCachedDifferential(t *testing.T) {
 	graphtest.RunCachedDifferential(t, buildOverlayBackend(DefaultOptions()))
 }
 
+func TestDupFrontierCounts(t *testing.T) {
+	graphtest.RunDupFrontierCounts(t, buildOverlayBackend(DefaultOptions()))
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, buildOverlayBackend(DefaultOptions()))
 }

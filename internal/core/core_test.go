@@ -207,6 +207,46 @@ func TestCountPushdown(t *testing.T) {
 	}
 }
 
+// TestDanglingLinkCountPushdown checks that a pushed count answers the same
+// whatever the shape of its frontier when a link row points at a missing
+// node. The overlay cannot reject such a row, and the pushed COUNT(*) counts
+// it as an edge, as the paper's pushdown does; a duplicated frontier must
+// count it too rather than materialize the hop and drop the unresolvable
+// endpoint.
+func TestDanglingLinkCountPushdown(t *testing.T) {
+	db, g := newHealthGraph(t, DefaultOptions())
+	if err := db.ExecScript(`
+	INSERT INTO DiseaseOntology VALUES (11, 99, 'isa', '');
+	INSERT INTO HasDisease VALUES (2, 11, 'diagnosed 2021');
+	`); err != nil {
+		t.Fatal(err)
+	}
+	tr := g.Traversal()
+	count := func(q *gremlin.Traversal) int64 {
+		t.Helper()
+		v, err := q.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(types.Value).I
+	}
+	// Unique frontiers: disease 11 has a resolvable and a dangling link.
+	if n := count(tr.V("11").Out().Count()); n != 2 {
+		t.Fatalf("V('11').out().count() = %d, want 2 link rows", n)
+	}
+	if n := count(tr.V("10").Out().Count()); n != 1 {
+		t.Fatalf("V('10').out().count() = %d, want 1", n)
+	}
+	if n := count(tr.V("11", "11").Out().Count()); n != 4 {
+		t.Fatalf("V('11','11').out().count() = %d, want 2 × 2", n)
+	}
+	// Patients 1 and 2 both reach 11, patient 2 also reaches 10: the
+	// frontier is {11 ×2, 10 ×1}.
+	if n := count(tr.V("patient::1", "patient::2").Out("hasDisease").Out().Count()); n != 2*2+1 {
+		t.Fatalf("duplicated-frontier out().count() = %d, want 2×2 + 1", n)
+	}
+}
+
 func TestSimilarDiseasesScript(t *testing.T) {
 	_, g := newHealthGraph(t, DefaultOptions())
 	script := `

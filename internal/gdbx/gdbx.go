@@ -949,8 +949,9 @@ func (g *Graph) AnalyzeStats(ctx context.Context) (*graph.Stats, error) {
 	return st, nil
 }
 
-// AggVertexEdges implements graph.Backend: counting incident edges walks
-// the adjacency lists without materializing elements.
+// AggVertexEdges implements graph.Backend by materialization: it fetches
+// the incident edges with VertexEdges and aggregates them with
+// graph.AggregateElements.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	els, err := g.VertexEdges(ctx, vids, dir, q)
 	if err != nil {

@@ -83,6 +83,12 @@ func TestCachedDifferential(t *testing.T) {
 	})
 }
 
+func TestDupFrontierCounts(t *testing.T) {
+	graphtest.RunDupFrontierCounts(t, func(vs, es []*graph.Element) (graph.Backend, error) {
+		return load(vs, es, Config{PrefetchOnOpen: true})
+	})
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
 		return load(vs, es, Config{PrefetchOnOpen: true})

@@ -350,7 +350,10 @@ type Backend interface {
 	// AggE computes an aggregate over the edges matching q.
 	AggE(ctx context.Context, q *Query, agg Agg) (types.Value, error)
 	// AggVertexEdges computes an aggregate over the incident edges of the
-	// given vertices.
+	// given vertices. The engine answers out()/in().count() with it,
+	// counting edges for reached vertices, which assumes every edge
+	// endpoint resolves to a vertex; an edge whose endpoint is missing is
+	// still counted.
 	AggVertexEdges(ctx context.Context, vids []string, dir Direction, q *Query, agg Agg) (types.Value, error)
 }
 

@@ -36,3 +36,7 @@ func TestMemCacheInvalidation(t *testing.T) {
 		return b, b.(graph.Mutable), nil
 	})
 }
+
+func TestMemDupFrontierCounts(t *testing.T) {
+	graphtest.RunDupFrontierCounts(t, buildMem)
+}

@@ -6,6 +6,8 @@
 //     BIT-IDENTICAL between a 1-shard deployment (the single-node golden)
 //     and 2- and 3-shard deployments — same objects, same order. Sharding
 //     is pure deployment topology; any observable difference is a bug.
+//     Pushed counts over duplicated frontiers are also checked against the
+//     raw backend's unoptimized plan (graphtest.CheckDupFrontierCounts).
 //  2. Fault semantics: under injected network faults (delays, drops,
 //     resets, partitions, via the chaos listener wrapper) every query
 //     either returns the golden answer or a typed error
@@ -240,6 +242,10 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if g, w := sortedIDs(cadj), sortedIDs(rawAdj); g != w {
 				t.Fatalf("shards=%d adjacency diverged from raw backend\n got: %s\nwant: %s", n, g, w)
 			}
+			// Pushed counts over duplicated frontiers, which the battery's
+			// single-node golden shares, against the raw backend's
+			// unoptimized plan.
+			graphtest.CheckDupFrontierCounts(t, gremlin.NewSource(rawB).WithoutStrategies(), h.src)
 			h.close()
 		})
 	}

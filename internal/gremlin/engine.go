@@ -730,30 +730,17 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 	}
 
 	if x.PushAgg != nil {
-		// The backend aggregates over the unique vertex-id set, which is
-		// only equivalent to aggregating the traverser stream when every
-		// source vertex carries exactly one traverser. With duplicated
-		// traversers (e.g. after a non-deduped multi-path hop), fall back
-		// to materializing and aggregating with multiplicity. bothE() has
-		// the same mismatch for edges connecting two frontier vertices
-		// (traversed once from each end but stored once), so it only pushes
-		// down for a single source vertex.
-		unique := true
-		for _, ps := range parents {
-			if ps.n != 1 {
-				unique = false
-				break
-			}
-		}
-		if x.Dir == graph.DirBoth && len(vids) > 1 {
-			unique = false
-		}
-		if unique {
-			v, err := ctx.backend.AggVertexEdges(ctx.goctx, vids, x.Dir, x.Query, *x.PushAgg)
+		// bothE() traverses an edge joining two frontier vertices once from
+		// each end but stores it once, so it only pushes down for a single
+		// source vertex.
+		if x.Dir != graph.DirBoth || len(vids) == 1 {
+			v, ok, err := pushVertexAgg(ctx, x, vids, parents)
 			if err != nil {
 				return nil, err
 			}
-			return []*Traverser{{Obj: v}}, nil
+			if ok {
+				return []*Traverser{{Obj: v}}, nil
+			}
 		}
 		cp := *x
 		cp.PushAgg = nil
@@ -805,6 +792,57 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 	return ctx.mapChunks(len(vids), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
 		return vertexFanout(c, x, vids[lo:hi], parents)
 	})
+}
+
+// pushVertexAgg answers a fused VertexStep aggregate with AggVertexEdges
+// calls; ok is false when the aggregate must be materialized instead. The
+// backend aggregates over a set of distinct vertex ids, which equals the
+// traverser stream's aggregate only when every source vertex carries one
+// traverser. count() is linear in multiplicity, so a duplicated frontier
+// (e.g. after a non-deduped multi-path hop) still pushes down: the source
+// vertices are split into classes by how many traversers sit on each (m),
+// each class is counted in one call, in first-appearance order, and the
+// result is Σ m × count_m. An out()/in() edge has one source (resp.
+// destination) vertex, so the classes partition the counted edges. Other
+// aggregates and pushed limits are not linear in multiplicity and
+// materialize on a duplicated frontier.
+func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents map[string]travGroup) (types.Value, bool, error) {
+	unique := true
+	for _, ps := range parents {
+		if ps.n != 1 {
+			unique = false
+			break
+		}
+	}
+	if unique {
+		v, err := ctx.backend.AggVertexEdges(ctx.goctx, vids, x.Dir, x.Query, *x.PushAgg)
+		return v, err == nil, err
+	}
+	if x.PushAgg.Kind != graph.AggCount || (x.Query != nil && x.Query.Limit > 0) {
+		return types.Null, false, nil
+	}
+	var mults []int // distinct multiplicities, first-appearance order
+	classes := make(map[int][]string)
+	for _, vid := range vids {
+		m := parents[vid].n
+		if _, seen := classes[m]; !seen {
+			mults = append(mults, m)
+		}
+		classes[m] = append(classes[m], vid)
+	}
+	var total int64
+	for _, m := range mults {
+		v, err := ctx.backend.AggVertexEdges(ctx.goctx, classes[m], x.Dir, x.Query, *x.PushAgg)
+		if err != nil {
+			return types.Null, false, err
+		}
+		n, ok := v.Int()
+		if !ok {
+			return types.Null, false, fmt.Errorf("gremlin: backend count is %v, want an integer", v)
+		}
+		total += int64(m) * n
+	}
+	return types.NewInt(total), true, nil
 }
 
 // travGroup collects the traversers anchored at one source vertex without

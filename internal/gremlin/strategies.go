@@ -234,7 +234,10 @@ func setPushAgg(s Step, agg graph.Agg) bool {
 		// edge aggregate when the vertex side filters differ; only edge
 		// steps (outE/inE/bothE) push down cleanly. For count() on out(),
 		// the edge count equals the reached-vertex count only without
-		// vertex-side filters.
+		// vertex-side filters, and only when every edge endpoint resolves
+		// to a vertex: a pushed count counts edges, so a dangling edge
+		// (an overlay link row whose node is missing) counts although
+		// materializing the hop would drop it.
 		if x.PushAgg != nil {
 			return false
 		}

@@ -43,6 +43,12 @@ func TestCachedDifferential(t *testing.T) {
 	})
 }
 
+func TestDupFrontierCounts(t *testing.T) {
+	graphtest.RunDupFrontierCounts(t, func(vs, es []*graph.Element) (graph.Backend, error) {
+		return loadIncremental(vs, es)
+	})
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
 		return loadIncremental(vs, es)
