@@ -1,6 +1,6 @@
 // Command linkbench regenerates the paper's evaluation artifacts (Tables
 // 1-3, Figures 4-6, plus the runtime-optimization ablation) at configurable
-// scale.
+// scale. End-to-end performance is measured by bash perfbench/run.sh.
 //
 // Usage:
 //
@@ -33,26 +33,6 @@ func main() {
 		perCli   = flag.Int("ops-per-client", 0, "throughput operations per client")
 		layout   = flag.String("layout", "split", "relational layout: split or single")
 		seed     = flag.Int64("seed", 42, "dataset generation seed")
-		par      = flag.Int("parallelism", 0,
-			"engine goroutines per query (0 = GOMAXPROCS, 1 = serial)")
-		planCacheSize = flag.Int("plan-cache-size", 0,
-			"compiled-plan cache capacity for the cached bench rows (0 = default 256)")
-		batchSize = flag.Int("batch-size", 0,
-			"cap on ids per batched backend lookup (0 = one lookup per engine chunk)")
-		jsonOut  = flag.Bool("json", false,
-			"measure the four operations and write BENCH_linkbench.json (ops/sec, p50/p95/p99)")
-		dataDir = flag.String("data-dir", "",
-			"directory for the durability benchmark's WAL stores (default: a temp dir)")
-		syncSpec = flag.String("sync", "",
-			"group-commit policy spec for the durability comparison: group[=delay] (default group)")
-		storageSpec = flag.String("storage", "cow",
-			"storage engine for the durability rows: cow or lsm (the writes{} section compares both regardless)")
-		shards = flag.Int("shards", 0,
-			"with -json: also bench an in-process N-shard cluster behind the coordinator, including a shard-fault availability probe")
-		replicas = flag.Bool("replicas", false,
-			"with -json and -shards: give each shard a synchronously-replicated follower and measure automatic failover (availability gap across a forced promotion, acked-write ledger, zombie fencing)")
-		planner = flag.Bool("planner", false,
-			"run only the cost-based planner experiment (costed vs static plans on the skewed in-hub dataset)")
 	)
 	flag.Parse()
 
@@ -76,18 +56,6 @@ func main() {
 		scale.OpsPerClient = *perCli
 	}
 	scale.Seed = *seed
-	scale.Parallelism = *par
-	scale.PlanCacheSize = *planCacheSize
-	scale.BatchSize = *batchSize
-	scale.DataDir = *dataDir
-	scale.Sync = *syncSpec
-	scale.Shards = *shards
-	scale.Replicas = *replicas
-	if *storageSpec != "cow" && *storageSpec != "lsm" {
-		fmt.Fprintf(os.Stderr, "unknown storage engine %q\n", *storageSpec)
-		os.Exit(2)
-	}
-	scale.Storage = *storageSpec
 	switch *layout {
 	case "split":
 		scale.Layout = linkbench.LayoutSplit
@@ -154,27 +122,6 @@ func main() {
 		if _, err := scale.RunLayoutComparison(w); err != nil {
 			fail(err)
 		}
-		ran = true
-	}
-	if *all || *planner {
-		if _, err := scale.RunPlanner(w); err != nil {
-			fail(err)
-		}
-		ran = true
-	}
-	if *jsonOut {
-		f, err := os.Create("BENCH_linkbench.json")
-		if err != nil {
-			fail(err)
-		}
-		if _, err := scale.RunBenchJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(w, "wrote BENCH_linkbench.json")
 		ran = true
 	}
 	if !ran {

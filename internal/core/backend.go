@@ -416,7 +416,9 @@ func (g *Graph) vertexFromRow(p *vertexPlan, row []types.Value) *graph.Element {
 	}
 }
 
-// V implements graph.Backend.
+// V implements graph.Backend. SQL returns a row once however often q.IDs
+// repeats its id, so V copies such a vertex once per occurrence, next to
+// the first copy.
 func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -424,6 +426,7 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	if q == nil {
 		q = &graph.Query{}
 	}
+	mult := repeatedIDs(q.IDs)
 	var out []*graph.Element
 	for _, vm := range g.eligibleVertexMappings(q) {
 		p := g.planVertexFetch(vm, q)
@@ -434,12 +437,36 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, els...)
+		if mult == nil {
+			out = append(out, els...)
+		} else {
+			for _, el := range els {
+				for n := max(mult[el.ID], 1); n > 0; n-- {
+					out = append(out, el)
+				}
+			}
+		}
 		if q.Limit > 0 && len(out) >= q.Limit {
 			return out[:q.Limit], nil
 		}
 	}
 	return out, nil
+}
+
+// repeatedIDs counts the occurrences of each id, or returns nil when no id
+// repeats.
+func repeatedIDs(ids []string) map[string]int {
+	if len(ids) < 2 {
+		return nil
+	}
+	n := make(map[string]int, len(ids))
+	for _, id := range ids {
+		n[id]++
+	}
+	if len(n) == len(ids) {
+		return nil
+	}
+	return n
 }
 
 // fetchVerticesFromTable fetches vertices by id from one pinned table.
@@ -1224,6 +1251,10 @@ func (g *Graph) AggV(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 	sel, ok := aggSelect(agg)
 	if !ok {
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
+	}
+	if repeatedIDs(q.IDs) != nil {
+		// SQL would see each repeated id once; V emits every occurrence.
+		return g.aggVFallback(ctx, q, agg)
 	}
 	comb := newAggCombiner(agg)
 	for _, vm := range g.eligibleVertexMappings(q) {

@@ -9,30 +9,24 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	"db2graph/internal/core"
 	"db2graph/internal/gdbx"
-	"db2graph/internal/graph"
 	"db2graph/internal/gremlin"
 	"db2graph/internal/janus"
 	"db2graph/internal/linkbench"
 	"db2graph/internal/sql/engine"
-	"db2graph/internal/telemetry"
-	"db2graph/internal/wal"
 )
 
 // Scale configures experiment sizing. The paper's 10M/100M datasets map to
 // the Small/Large vertex counts here; shapes, not absolute numbers, are the
-// reproduction target.
+// reproduction target. End-to-end performance is measured by the repository
+// benchmark (bash perfbench/run.sh), not here; DESIGN.md §16 holds its
+// numbers.
 type Scale struct {
 	// SmallVertices and LargeVertices size the two datasets of Table 2.
 	SmallVertices int
@@ -52,38 +46,6 @@ type Scale struct {
 	Layout linkbench.Layout
 	// Seed for dataset generation.
 	Seed int64
-	// Parallelism is the per-query goroutine budget for the Gremlin engine
-	// (0 = GOMAXPROCS, 1 = serial). The BENCH_linkbench.json artifact also
-	// records a serial-vs-parallel multi-hop comparison regardless.
-	Parallelism int
-	// DataDir, when non-empty, roots the durability benchmark's WAL-backed
-	// stores on that directory (scratch subdirectories are created and
-	// removed), so the fsync numbers reflect the device the operator cares
-	// about. Empty uses a throwaway temp directory.
-	DataDir string
-	// Sync is the policy spec (wal.ParsePolicy syntax) for the group-commit
-	// row of the durability comparison; empty means "group" (2ms window).
-	Sync string
-	// PlanCacheSize caps the compiled-plan cache used by the cached
-	// benchmark rows (0 = the cache's default capacity).
-	PlanCacheSize int
-	// BatchSize caps ids per batched backend lookup in the cached rows
-	// (0 = one lookup per engine chunk).
-	BatchSize int
-	// Shards, when > 1, adds the sharded-cluster rows to the JSON artifact:
-	// the same multi-hop expansion through a scatter-gather coordinator over
-	// Shards in-process gservers, plus a shard-fault availability probe.
-	Shards int
-	// Replicas, with Shards > 1, gives each shard a synchronously-replicated
-	// follower and adds the failover{} section: a forced promotion per shard
-	// under a steady write probe, measuring the availability gap and proving
-	// no acknowledged write is lost and every deposed primary ends up fenced.
-	Replicas bool
-	// Storage selects the engine for the durability rows: "cow"
-	// (copy-on-write checkpoints, the default) or "lsm" (log-structured
-	// merge with MVCC snapshot reads). The writes{} section of the JSON
-	// artifact always compares both engines regardless.
-	Storage string
 }
 
 // DefaultScale returns the laptop-scale defaults.
@@ -526,542 +488,4 @@ func (s Scale) RunLayoutComparison(w io.Writer) ([]AblationRow, error) {
 			fmtDur(r.ByKind[2].Mean), fmtDur(r.ByKind[3].Mean))
 	}
 	return rows, nil
-}
-
-// --- BENCH_linkbench.json ---
-
-// BenchOp is one operation's entry in the JSON benchmark artifact.
-type BenchOp struct {
-	Op     string  `json:"op"`
-	Ops    int     `json:"ops"`
-	OpsSec float64 `json:"ops_per_sec"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P95US  float64 `json:"p95_us"`
-	P99US  float64 `json:"p99_us"`
-	MaxUS  float64 `json:"max_us"`
-}
-
-// BenchReport is the BENCH_linkbench.json schema.
-type BenchReport struct {
-	Dataset  string `json:"dataset"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
-	Seed     int64  `json:"seed"`
-	// Parallelism is the engine parallelism the four LinkBench operations ran
-	// at (0 = GOMAXPROCS).
-	Parallelism int       `json:"parallelism"`
-	Operations  []BenchOp `json:"operations"`
-	// ParallelTraversal compares the same multi-hop frontier expansion at
-	// parallelism 1 (serial engine) vs a parallel level, so regressions in
-	// the parallel execution path surface in the artifact. Speedup requires
-	// multiple CPUs; on a single-core host the two entries track each other.
-	ParallelTraversal []BenchOp `json:"parallel_traversal"`
-	// Durability compares per-commit AddEdge latency on the JanusGraph-style
-	// store in-memory vs WAL-backed with fsync-per-commit vs group commit —
-	// what crash safety costs per acknowledged write.
-	Durability []BenchOp `json:"durability"`
-	// Caches reports hit/miss counters and hit rates for the compiled-plan
-	// cache and every backend-internal cache after the batched multi-hop row.
-	Caches map[string]BenchCache `json:"caches,omitempty"`
-	// BatchSizes summarizes the ids-per-batched-lookup distribution the
-	// engine observed during the batched multi-hop row.
-	BatchSizes *BenchBatches `json:"batch_sizes,omitempty"`
-	// ShardAvailability reports the shard-fault probe run when Scale.Shards
-	// > 1: during a shard partition every answer must be a typed error (or
-	// bit-identical under recovery) — wrong_results must stay 0.
-	ShardAvailability *BenchShardAvailability `json:"shard_availability,omitempty"`
-	// Failover is the shard-HA probe run when Scale.Replicas is set with
-	// Shards > 1: forced promotions under a write load, reporting the
-	// availability gap and the write-outcome ledger (acked_lost must be 0).
-	Failover *BenchFailover `json:"failover,omitempty"`
-	// Writes is the mixed read/write comparison: sustained addEdge
-	// latency/throughput on the copy-on-write vs LSM engines, solo and
-	// under GOMAXPROCS concurrent multi-hop readers, plus the LSM engine's
-	// memtable/compaction statistics after the run.
-	Writes *BenchWrites `json:"writes,omitempty"`
-	// Planner is the cost-based planner experiment: costed vs static plans
-	// on a skewed-degree dataset plus the shape-keyed plan-cache hit rate
-	// under a literal-varying workload.
-	Planner *BenchPlanner `json:"planner,omitempty"`
-	// Allocs is the memory-discipline section (DESIGN.md §15): heap cost per
-	// batched two-hop expansion plus the traverser-arena pool counters.
-	Allocs *BenchAllocs `json:"allocs,omitempty"`
-}
-
-// BenchAllocs reports what one batched multi-hop expansion costs the
-// allocator and how effective the traverser-arena pools are. Diffing this
-// section across commits is the artifact-level view of the allocation
-// regression gate (`make bench-alloc`).
-type BenchAllocs struct {
-	// MultiHop2AllocsPerOp / MultiHop2BytesPerOp are the mean heap
-	// allocations and bytes per execution of the multiHop2[batched] row,
-	// measured from runtime.MemStats deltas around dedicated rounds.
-	MultiHop2AllocsPerOp float64 `json:"multihop2_allocs_per_op"`
-	MultiHop2BytesPerOp  float64 `json:"multihop2_bytes_per_op"`
-	// PoolHits / PoolMisses are the process-cumulative gremlin arena pool
-	// counters at report time; PoolHitRate is hits/(hits+misses).
-	PoolHits    int64   `json:"gremlin_pool_hits"`
-	PoolMisses  int64   `json:"gremlin_pool_misses"`
-	PoolHitRate float64 `json:"pool_hit_rate"`
-}
-
-// BenchShardAvailability is the shard-fault availability section: what the
-// coordinator returned while one shard was partitioned away and after it
-// healed.
-type BenchShardAvailability struct {
-	Shards int `json:"shards"`
-	Rounds int `json:"rounds"`
-	// FaultFreeOK counts golden-identical answers before any fault.
-	FaultFreeOK int `json:"fault_free_ok"`
-	// PartitionTyped counts typed availability errors during the partition;
-	// PartitionOK counts golden-identical answers (queries that never
-	// touched the dead shard); PartitionWrong counts everything else and
-	// must be zero — it would mean a silently wrong or partial answer.
-	PartitionTyped int `json:"partition_typed_errors"`
-	PartitionOK    int `json:"partition_ok"`
-	PartitionWrong int `json:"partition_wrong"`
-	// FastFailP50US is the median answer latency during the partition: once
-	// the breaker opens, unavailability must be cheap to report.
-	FastFailP50US float64 `json:"fast_fail_p50_us"`
-	// HealedOK counts golden-identical answers after the partition healed
-	// (breaker closed via its half-open probe).
-	HealedOK int `json:"healed_ok"`
-}
-
-// BenchFailover is the shard-HA section: one forced promotion per shard
-// under a continuous write probe against a replicated cluster.
-type BenchFailover struct {
-	Shards     int `json:"shards"`
-	Promotions int `json:"promotions"`
-	// Gap percentiles are the write-availability gap per promotion: wall
-	// clock from killing the primary to the first post-promotion ack.
-	GapP50MS float64 `json:"availability_gap_p50_ms"`
-	GapP99MS float64 `json:"availability_gap_p99_ms"`
-	GapMaxMS float64 `json:"availability_gap_max_ms"`
-	// AckedWrites is the ledger size; AckedLost counts acknowledged writes
-	// missing after all failovers and must be zero.
-	AckedWrites int `json:"acked_writes"`
-	AckedLost   int `json:"acked_lost"`
-	// Indeterminate counts writes whose outcome was reported unknown (ack
-	// lost in flight) — allowed, unlike silent loss.
-	Indeterminate int `json:"indeterminate_writes"`
-	// ZombiesFenced counts deposed primaries that rejected writes with
-	// FENCED after healing; must equal Promotions.
-	ZombiesFenced int `json:"zombies_fenced"`
-}
-
-// BenchCache is one cache's counters plus its derived hit rate.
-type BenchCache struct {
-	graph.CacheStats
-	HitRate float64 `json:"hit_rate"`
-}
-
-// BenchBatches summarizes the gremlin batch-size histogram.
-type BenchBatches struct {
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-}
-
-// benchCache pairs a cache's counters with its derived hit rate.
-func benchCache(st graph.CacheStats) BenchCache {
-	return BenchCache{CacheStats: st, HitRate: st.HitRate()}
-}
-
-// summarize reduces per-operation latency samples (sorted in place) to a
-// BenchOp row.
-func summarize(samples []time.Duration) BenchOp {
-	var total time.Duration
-	for _, s := range samples {
-		total += s
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	pct := func(q float64) time.Duration {
-		i := int(q*float64(len(samples))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
-	}
-	us := func(t time.Duration) float64 { return float64(t.Nanoseconds()) / 1e3 }
-	return BenchOp{
-		Ops:    len(samples),
-		OpsSec: float64(len(samples)) / total.Seconds(),
-		MeanUS: us(total / time.Duration(len(samples))),
-		P50US:  us(pct(0.50)),
-		P95US:  us(pct(0.95)),
-		P99US:  us(pct(0.99)),
-		MaxUS:  us(samples[len(samples)-1]),
-	}
-}
-
-// measureMultiHop times rounds executions of the two-hop frontier expansion
-// g.V(anchors...).out().out().count() and reports its latency distribution.
-// The anchor fan-out gives each hop a frontier wide enough for the engine to
-// chunk across workers.
-func measureMultiHop(src *gremlin.Source, anchors []string, rounds int) (BenchOp, error) {
-	const warm = 3
-	samples := make([]time.Duration, 0, rounds)
-	for i := 0; i < rounds+warm; i++ {
-		start := time.Now()
-		if _, err := src.V(anchors).Out().Out().Count().ToList(); err != nil {
-			return BenchOp{}, err
-		}
-		if i < warm {
-			continue
-		}
-		samples = append(samples, time.Since(start))
-	}
-	return summarize(samples), nil
-}
-
-// measureMultiHopScript is measureMultiHop through the full script path —
-// lex, parse, strategy rewrite — so the compiled-plan cache and the
-// batch-size cap participate exactly as they do for server-submitted
-// queries. The warm rounds populate the plan cache and any backend
-// topology caches; the timed rounds measure the cached steady state.
-func measureMultiHopScript(src *gremlin.Source, anchors []string, rounds int) (BenchOp, error) {
-	script := multiHopScript(anchors)
-	const warm = 3
-	samples := make([]time.Duration, 0, rounds)
-	for i := 0; i < rounds+warm; i++ {
-		start := time.Now()
-		if _, err := gremlin.RunScript(src, script, nil); err != nil {
-			return BenchOp{}, err
-		}
-		if i < warm {
-			continue
-		}
-		samples = append(samples, time.Since(start))
-	}
-	return summarize(samples), nil
-}
-
-// multiHopScript renders the two-hop expansion as script text.
-func multiHopScript(anchors []string) string {
-	quoted := make([]string, len(anchors))
-	for i, a := range anchors {
-		quoted[i] = "'" + a + "'"
-	}
-	return "g.V(" + strings.Join(quoted, ", ") + ").out().out().count()"
-}
-
-// measureAllocs reports mean heap allocations and bytes per execution of fn
-// over n runs, via runtime.MemStats deltas after a GC settles the heap. The
-// numbers are process-wide, so callers run it with nothing else allocating.
-func measureAllocs(n int, fn func() error) (allocsPerOp, bytesPerOp float64, err error) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		if err := fn(); err != nil {
-			return 0, 0, err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(n), nil
-}
-
-// measureDurability times individual AddEdge commits on the JanusGraph-style
-// store under three backing configurations: pure in-memory, WAL with
-// fsync-per-commit, and WAL with group commit. Each durable store is
-// pre-seeded with the vertex set under sync=none and checkpointed, then
-// reopened under the policy being measured, so the timed window contains
-// exactly the per-commit journal cost (encode, append, checksum, fsync).
-func (s Scale) measureDurability() ([]BenchOp, error) {
-	verts := s.SmallVertices
-	if verts > 5000 {
-		verts = 5000 // enough fan-out; keeps the fsync-per-commit row quick
-	}
-	d := s.dataset(verts)
-	n := s.LatencyOps
-	if n > len(d.Edges) {
-		n = len(d.Edges)
-	}
-
-	groupSpec := s.Sync
-	if groupSpec == "" {
-		groupSpec = "group"
-	}
-	groupPolicy, err := wal.ParsePolicy(groupSpec)
-	if err != nil {
-		return nil, err
-	}
-
-	root := s.DataDir
-	if root == "" {
-		root, err = os.MkdirTemp("", "linkbench-wal-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(root)
-	} else if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, err
-	}
-
-	timeEdges := func(g *janus.Graph) ([]time.Duration, error) {
-		samples := make([]time.Duration, 0, n)
-		for i := 0; i < n; i++ {
-			el := d.EdgeElement(d.Edges[i])
-			start := time.Now()
-			if err := g.AddEdge(el); err != nil {
-				return nil, err
-			}
-			samples = append(samples, time.Since(start))
-		}
-		return samples, nil
-	}
-	// The durable rows run on the engine Scale.Storage selects; the labels
-	// carry the engine so artifacts from different runs stay comparable.
-	engine := s.Storage
-	if engine == "" {
-		engine = "cow"
-	}
-	open := func(dir string, policy wal.SyncPolicy) (*janus.Graph, error) {
-		if engine == "lsm" {
-			return janus.OpenLSMVFS(wal.OS(), dir, policy, telemetry.NewRegistry())
-		}
-		return janus.OpenDurableVFS(wal.OS(), dir, policy, telemetry.NewRegistry())
-	}
-	openSeeded := func(policy wal.SyncPolicy) (*janus.Graph, string, error) {
-		dir, err := os.MkdirTemp(root, "store-")
-		if err != nil {
-			return nil, "", err
-		}
-		g, err := open(dir, wal.NoSync())
-		if err != nil {
-			return nil, dir, err
-		}
-		for id := int64(1); id <= int64(d.Cfg.Vertices); id++ {
-			if err := g.AddVertex(d.VertexElement(id)); err != nil {
-				return nil, dir, err
-			}
-		}
-		if err := g.Checkpoint(); err != nil {
-			return nil, dir, err
-		}
-		if err := g.Close(); err != nil {
-			return nil, dir, err
-		}
-		g, err = open(dir, policy)
-		return g, dir, err
-	}
-
-	var ops []BenchOp
-
-	// In-memory baseline: same store structure, no journal.
-	mem := janus.New()
-	for id := int64(1); id <= int64(d.Cfg.Vertices); id++ {
-		if err := mem.AddVertex(d.VertexElement(id)); err != nil {
-			return nil, err
-		}
-	}
-	samples, err := timeEdges(mem)
-	if err != nil {
-		return nil, err
-	}
-	op := summarize(samples)
-	op.Op = "addEdge[mem]"
-	ops = append(ops, op)
-
-	walLabel := "wal"
-	if engine == "lsm" {
-		walLabel = "lsm"
-	}
-	for _, row := range []struct {
-		label  string
-		policy wal.SyncPolicy
-	}{
-		{fmt.Sprintf("addEdge[%s,sync=always]", walLabel), wal.EveryCommit()},
-		{fmt.Sprintf("addEdge[%s,sync=%s]", walLabel, groupSpec), groupPolicy},
-	} {
-		g, dir, err := openSeeded(row.policy)
-		if dir != "" {
-			defer os.RemoveAll(dir)
-		}
-		if err != nil {
-			return nil, err
-		}
-		samples, err := timeEdges(g)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		if err := g.Close(); err != nil {
-			return nil, err
-		}
-		op := summarize(samples)
-		op.Op = row.label
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
-// RunBenchJSON measures the four LinkBench operations on the small dataset
-// (Db2 Graph overlay, optimized strategies) and writes the latency
-// distribution as JSON — the machine-readable artifact CI and regression
-// tooling diff against.
-func (s Scale) RunBenchJSON(w io.Writer) (*BenchReport, error) {
-	d := s.dataset(s.SmallVertices)
-	g, _, err := loadDb2(d, core.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	dists, err := linkbench.MeasureLatencyDist(g.Traversal().WithParallelism(s.Parallelism),
-		d.NewWorkload(s.Seed+6), s.LatencyOps)
-	if err != nil {
-		return nil, err
-	}
-	us := func(t time.Duration) float64 { return float64(t.Nanoseconds()) / 1e3 }
-	rep := &BenchReport{
-		Dataset:     "small",
-		Vertices:    d.Cfg.Vertices,
-		Edges:       len(d.Edges),
-		Seed:        s.Seed,
-		Parallelism: s.Parallelism,
-	}
-	for _, ld := range dists {
-		rep.Operations = append(rep.Operations, BenchOp{
-			Op:     ld.Kind.String(),
-			Ops:    ld.Ops,
-			OpsSec: ld.OpsSec,
-			MeanUS: us(ld.Mean),
-			P50US:  us(ld.P50),
-			P95US:  us(ld.P95),
-			P99US:  us(ld.P99),
-			MaxUS:  us(ld.Max),
-		})
-	}
-	// Serial-vs-parallel multi-hop comparison: same anchors, same query, the
-	// only variable is the engine parallelism.
-	wl := d.NewWorkload(s.Seed + 7)
-	anchors := make([]string, 64)
-	for i := range anchors {
-		anchors[i] = wl.Next(linkbench.GetNode).ID1
-	}
-	par := s.Parallelism
-	if par <= 1 {
-		par = runtime.GOMAXPROCS(0)
-		if par < 4 {
-			par = 4
-		}
-	}
-	rounds := s.LatencyOps / 4
-	if rounds < 20 {
-		rounds = 20
-	}
-	for _, n := range []int{1, par} {
-		op, err := measureMultiHop(g.Traversal().WithParallelism(n), anchors, rounds)
-		if err != nil {
-			return nil, err
-		}
-		op.Op = fmt.Sprintf("multiHop2[par=%d]", n)
-		rep.ParallelTraversal = append(rep.ParallelTraversal, op)
-	}
-	// Batched/cached row: the same expansion submitted as script text with
-	// the compiled-plan cache and batch-size cap engaged — the configuration
-	// the network server runs with.
-	pc := gremlin.NewPlanCache(s.PlanCacheSize)
-	hist := &telemetry.IntHistogram{}
-	bsrc := g.Traversal().WithParallelism(par).WithPlanCache(pc).WithBatchSize(s.BatchSize)
-	bsrc.BatchHist = hist
-	bop, err := measureMultiHopScript(bsrc, anchors, rounds)
-	if err != nil {
-		return nil, err
-	}
-	bop.Op = "multiHop2[batched]"
-	rep.ParallelTraversal = append(rep.ParallelTraversal, bop)
-	// Allocation profile of the batched row (caches already warm from the
-	// timed rounds above).
-	script := multiHopScript(anchors)
-	aOp, bOp, err := measureAllocs(rounds, func() error {
-		_, err := gremlin.RunScript(bsrc, script, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	hits, misses := gremlin.PoolStats()
-	alloc := &BenchAllocs{
-		MultiHop2AllocsPerOp: aOp,
-		MultiHop2BytesPerOp:  bOp,
-		PoolHits:             hits,
-		PoolMisses:           misses,
-	}
-	if total := hits + misses; total > 0 {
-		alloc.PoolHitRate = float64(hits) / float64(total)
-	}
-	rep.Allocs = alloc
-	// Cache and batch-size observability: plan-cache counters, backend cache
-	// counters, and the batch-size distribution from the batched row.
-	rep.Caches = map[string]BenchCache{"plan": benchCache(pc.Stats())}
-	if p, ok := any(g).(graph.CacheStatsProvider); ok {
-		for name, st := range p.CacheMetrics() {
-			rep.Caches[name] = benchCache(st)
-		}
-	}
-	if hist.Count() > 0 {
-		snap := hist.Snapshot()
-		rep.BatchSizes = &BenchBatches{
-			Count: hist.Count(),
-			Sum:   hist.Sum(),
-			Mean:  hist.Mean(),
-			P50:   snap.Quantile(0.50),
-			P95:   snap.Quantile(0.95),
-		}
-	}
-	// Sharded-cluster row: the same expansion scattered over Scale.Shards
-	// remote shards behind the fault-tolerant coordinator, plus an
-	// availability probe that partitions the anchor's shard and classifies
-	// every answer (golden / typed error / wrong — wrong must be zero).
-	if s.Shards > 1 {
-		ctx := context.Background()
-		vs, err := g.V(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		es, err := g.E(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		sop, avail, err := s.measureShardedCluster(vs, es, anchors, rounds, par)
-		if err != nil {
-			return nil, err
-		}
-		rep.ParallelTraversal = append(rep.ParallelTraversal, sop)
-		rep.ShardAvailability = avail
-		// Shard HA: give each shard a follower, force one promotion per
-		// shard under a write probe, and record the availability gap.
-		if s.Replicas {
-			rep.Failover, err = s.measureFailover()
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Durability overhead: what each sync policy costs per committed write.
-	rep.Durability, err = s.measureDurability()
-	if err != nil {
-		return nil, err
-	}
-	// Mixed read/write workload: cow vs lsm, solo and under readers.
-	rep.Writes, err = s.measureWrites()
-	if err != nil {
-		return nil, err
-	}
-	// Cost-based planner vs static strategies on the skewed dataset.
-	rep.Planner, err = s.RunPlanner(io.Discard)
-	if err != nil {
-		return nil, err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return rep, enc.Encode(rep)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -151,39 +150,5 @@ func TestRunLayoutComparison(t *testing.T) {
 	}
 	if len(rows) != 2 || rows[0].Config != "split-tables" || rows[1].Config != "single-node-link" {
 		t.Fatalf("rows = %+v", rows)
-	}
-}
-
-func TestRunBenchJSONDurability(t *testing.T) {
-	s := tinyScale()
-	s.DataDir = t.TempDir()
-	var buf bytes.Buffer
-	rep, err := s.RunBenchJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Durability) != 3 {
-		t.Fatalf("durability rows = %d, want 3: %+v", len(rep.Durability), rep.Durability)
-	}
-	wantOps := []string{"addEdge[mem]", "addEdge[wal,sync=always]", "addEdge[wal,sync=group]"}
-	for i, want := range wantOps {
-		row := rep.Durability[i]
-		if row.Op != want {
-			t.Fatalf("row %d op = %q, want %q", i, row.Op, want)
-		}
-		if row.Ops != s.LatencyOps || row.P50US <= 0 || row.P99US < row.P50US {
-			t.Fatalf("row %q has implausible distribution: %+v", want, row)
-		}
-	}
-	if !strings.Contains(buf.String(), `"durability"`) {
-		t.Fatal("durability section missing from JSON artifact")
-	}
-	// Scratch stores must not leak into the operator's data dir.
-	entries, err := os.ReadDir(s.DataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("durability bench left %d entries in -data-dir", len(entries))
 	}
 }

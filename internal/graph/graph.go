@@ -236,6 +236,7 @@ type Agg struct {
 // accessing step.
 type Query struct {
 	// IDs restricts the result to elements with these ids (empty = all).
+	// Repeating an id repeats its vertex in V's result (see Backend.V).
 	IDs []string
 	// Labels restricts to these labels (empty = all).
 	Labels []string
@@ -328,7 +329,8 @@ type Backend interface {
 	// Name identifies the provider ("db2graph", "gdbx", "janusgraph").
 	Name() string
 
-	// V returns the vertices matching q.
+	// V returns the vertices matching q. A vertex whose id q.IDs repeats
+	// appears once per occurrence, as g.V('a', 'a') has two traversers.
 	V(ctx context.Context, q *Query) ([]*Element, error)
 	// E returns the edges matching q.
 	E(ctx context.Context, q *Query) ([]*Element, error)

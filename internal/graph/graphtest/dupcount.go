@@ -12,10 +12,8 @@ import (
 // control `g.V('p1', 'p2', 'p3')...`) repeats vertices, so the engine
 // answers it with one pushed AggVertexEdges per traverser multiplicity.
 // The differential golden cannot check these: it runs the same pushed
-// path. Repeated seed ids (g.V('p1', 'p1')) are left out: the overlay's V
-// returns a repeated id once, while the fused seed path and the other
-// backends keep every occurrence, so those scripts differ with strategies
-// off for a reason unrelated to count pushdown.
+// path. A repeated seed id (g.V('p1', 'p1')) is one traverser per
+// occurrence on every backend (graph.Backend.V).
 var dupFrontierCountScripts = []string{
 	`g.V().out().in().count()`,
 	`g.V('p1', 'p2', 'p3').out().out().count()`,
@@ -23,6 +21,9 @@ var dupFrontierCountScripts = []string{
 	`g.V().out().outE().count()`,
 	`g.V('p1', 'd13').out().out().count()`,
 	`g.V('p1', 'd13').out().outE('isa').count()`,
+	`g.V('p1', 'p1').out().count()`,
+	`g.V('p1', 'p1').out().out().count()`,
+	`g.V('p1', 'p1').count()`,
 }
 
 // RunDupFrontierCounts checks the pushed counts over duplicated frontiers

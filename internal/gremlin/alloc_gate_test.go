@@ -46,7 +46,7 @@ func TestBatchedExpandAllocBaseline(t *testing.T) {
 			m = benchBackend(b, 2000)
 		}
 		src := NewSource(m).WithParallelism(1)
-		trav := func() *Traversal { return src.V().Out("l0").Out().Count() }
+		trav := func() *Traversal { return batchedExpand(src) }
 		if _, err := trav().ToList(); err != nil { // warm caches and pools
 			b.Fatal(err)
 		}

@@ -97,6 +97,12 @@ func BenchmarkPlanCache(b *testing.B) {
 	})
 }
 
+// batchedExpand is the body of BenchmarkBatchedExpand and of the
+// allocation gate: a two-hop expansion that emits every second-hop vertex.
+// It ends in the elements, not in count(), which would push the last hop
+// down as an aggregate and never materialise it.
+func batchedExpand(src *Source) *Traversal { return src.V().Out("l0").Out() }
+
 // BenchmarkBatchedExpand measures a two-hop frontier expansion through the
 // backend's native vectorized multi-get (one sorted lookup per chunk) vs
 // the generic per-contract fallback adapter, at serial and parallel
@@ -105,7 +111,7 @@ func BenchmarkBatchedExpand(b *testing.B) {
 	m := benchBackend(b, 2000)
 	run := func(b *testing.B, src *Source) {
 		b.Helper()
-		tr := func() *Traversal { return src.V().Out("l0").Out().Count() }
+		tr := func() *Traversal { return batchedExpand(src) }
 		if _, err := tr().ToList(); err != nil { // warm
 			b.Fatal(err)
 		}

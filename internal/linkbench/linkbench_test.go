@@ -11,7 +11,6 @@ import (
 	"db2graph/internal/gdbx"
 	"db2graph/internal/graph"
 	"db2graph/internal/gremlin"
-	"db2graph/internal/gserver"
 	"db2graph/internal/janus"
 	"db2graph/internal/sql/engine"
 	"db2graph/internal/sql/types"
@@ -326,56 +325,6 @@ func TestCountLinksMatchesDataset(t *testing.T) {
 		}
 		if got := obj.(types.Value).I; got != want {
 			t.Fatalf("countLinks(%v) = %d, want %d", k, got, want)
-		}
-	}
-}
-
-func TestServerModeLatency(t *testing.T) {
-	d := Generate(DefaultConfig(200))
-	db2, _, _ := loadAll(t, d)
-	srv := gserver.New(db2)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	res, err := MeasureLatencyViaServer(addr, d.NewWorkload(9), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for _, r := range res {
-		if r.Mean <= 0 {
-			t.Fatalf("bad result %+v", r)
-		}
-	}
-	// getNode over the server must return exactly one result per query.
-	if res[0].Results != int64(res[0].Ops) {
-		t.Fatalf("getNode results = %d over %d ops", res[0].Results, res[0].Ops)
-	}
-}
-
-// TestMeasureLatencyDist checks that the distribution driver produces sane,
-// internally consistent percentiles for every operation.
-func TestMeasureLatencyDist(t *testing.T) {
-	d := Generate(smallConfig())
-	db2, _, _ := loadAll(t, d)
-	dists, err := MeasureLatencyDist(db2, d.NewWorkload(7), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dists) != int(numQueryKinds) {
-		t.Fatalf("got %d kinds, want %d", len(dists), int(numQueryKinds))
-	}
-	for _, ld := range dists {
-		if ld.Ops != 30 || ld.OpsSec <= 0 {
-			t.Fatalf("%s: ops=%d ops/sec=%v", ld.Kind, ld.Ops, ld.OpsSec)
-		}
-		if ld.P50 <= 0 || ld.P50 > ld.P95 || ld.P95 > ld.P99 || ld.P99 > ld.Max {
-			t.Fatalf("%s: percentiles not monotone: p50=%v p95=%v p99=%v max=%v",
-				ld.Kind, ld.P50, ld.P95, ld.P99, ld.Max)
 		}
 	}
 }

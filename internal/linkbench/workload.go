@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,80 +169,6 @@ func MeasureLatency(src *gremlin.Source, w *Workload, n int) ([]LatencyResult, e
 			Kind: k, Ops: n, Total: total,
 			Mean:    total / time.Duration(n),
 			Results: results,
-		})
-	}
-	return out, nil
-}
-
-// LatencyDist reports the per-operation latency distribution for one query
-// kind: exact percentiles over the sorted sample, plus aggregate throughput.
-type LatencyDist struct {
-	Kind   QueryKind
-	Ops    int
-	OpsSec float64
-	Mean   time.Duration
-	P50    time.Duration
-	P95    time.Duration
-	P99    time.Duration
-	Max    time.Duration
-}
-
-// percentile returns the exact q-th percentile of a sorted sample using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// MeasureLatencyDist is MeasureLatency with per-operation timing: it runs n
-// queries of each kind sequentially and reports exact p50/p95/p99 over the
-// individual operation latencies (the BENCH_linkbench.json payload).
-func MeasureLatencyDist(src *gremlin.Source, w *Workload, n int) ([]LatencyDist, error) {
-	out := make([]LatencyDist, 0, int(numQueryKinds))
-	for k := QueryKind(0); k < numQueryKinds; k++ {
-		queries := make([]Query, n)
-		for i := range queries {
-			queries[i] = w.Next(k)
-		}
-		warm := len(queries)
-		if warm > 20 {
-			warm = 20
-		}
-		for _, q := range queries[:warm] {
-			if _, err := q.Build(src).ToList(); err != nil {
-				return nil, fmt.Errorf("linkbench: %s: %w", k, err)
-			}
-		}
-		durs := make([]time.Duration, 0, n)
-		var total time.Duration
-		for _, q := range queries {
-			begin := time.Now()
-			if _, err := q.Build(src).ToList(); err != nil {
-				return nil, fmt.Errorf("linkbench: %s: %w", k, err)
-			}
-			d := time.Since(begin)
-			durs = append(durs, d)
-			total += d
-		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		out = append(out, LatencyDist{
-			Kind:   k,
-			Ops:    n,
-			OpsSec: float64(n) / total.Seconds(),
-			Mean:   total / time.Duration(n),
-			P50:    percentile(durs, 0.50),
-			P95:    percentile(durs, 0.95),
-			P99:    percentile(durs, 0.99),
-			Max:    durs[len(durs)-1],
 		})
 	}
 	return out, nil

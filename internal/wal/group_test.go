@@ -40,8 +40,8 @@ func medianCommitLatency(t *testing.T, policy SyncPolicy, n int) time.Duration {
 
 // TestGroupCommitLoneCommitterLatency is the regression test for the
 // group-commit anomaly: a lone committer under sync=group used to sit out
-// the flusher's full MaxDelay window on every commit (~MaxDelay per op,
-// 362 ops/s vs 2056 for sync=always in BENCH_linkbench.json). With the
+// the flusher's full MaxDelay window on every commit (~MaxDelay per op;
+// one measurement gave 362 ops/s against 2056 for sync=always). With the
 // lone-waiter fast path it must fsync immediately, so its median latency
 // stays within ~2x of sync=always.
 func TestGroupCommitLoneCommitterLatency(t *testing.T) {
