@@ -21,110 +21,6 @@ import (
 // Name implements graph.Backend.
 func (g *Graph) Name() string { return "db2graph" }
 
-// colParam is one decomposed id column binding.
-type colParam struct {
-	col string
-	val any
-}
-
-// decomposeID matches an id value against an id expression, returning the
-// column bindings. It fails when the arity or any constant term mismatches.
-func (g *Graph) decomposeID(table string, expr overlay.IDExpr, id string) ([]colParam, bool) {
-	parts := overlay.DecomposeID(id)
-	if len(parts) != len(expr.Terms) {
-		return nil, false
-	}
-	var out []colParam
-	for i, term := range expr.Terms {
-		if term.IsConst {
-			if parts[i] != term.Const {
-				return nil, false
-			}
-			continue
-		}
-		out = append(out, colParam{col: term.Column, val: g.coerceIDPart(table, term.Column, parts[i])})
-	}
-	return out, true
-}
-
-// addIDRestriction translates an id list into SQL for one mapping. Returns
-// false when no id can belong to the mapping (table skippable).
-func (g *Graph) addIDRestriction(b *sqlBuilder, table string, expr overlay.IDExpr, ids []string) bool {
-	if len(ids) == 0 {
-		return true
-	}
-	frag, params, any := g.endpointFragment(table, expr, ids)
-	if !any {
-		return false
-	}
-	b.addWhere(frag, params...)
-	for _, t := range expr.Terms {
-		if !t.IsConst {
-			b.eqCols = append(b.eqCols, t.Column)
-		}
-	}
-	return true
-}
-
-// endpointFragment builds a WHERE fragment matching any of the ids against
-// the expression: single-column expressions become IN lists (padded for
-// template reuse); composite ids become OR'd conjunction groups.
-func (g *Graph) endpointFragment(table string, expr overlay.IDExpr, ids []string) (string, []any, bool) {
-	// Single bare column: col IN (?, ...).
-	if len(expr.Terms) == 1 && !expr.Terms[0].IsConst {
-		col := expr.Terms[0].Column
-		var vals []any
-		for _, id := range ids {
-			cps, ok := g.decomposeID(table, expr, id)
-			if !ok {
-				continue
-			}
-			vals = append(vals, cps[0].val)
-		}
-		if len(vals) == 0 {
-			return "", nil, false
-		}
-		if len(vals) == 1 {
-			return col + " = ?", vals, true
-		}
-		padded := 1
-		for padded < len(vals) {
-			padded *= 2
-		}
-		marks := make([]string, padded)
-		for i := range marks {
-			marks[i] = "?"
-		}
-		for len(vals) < padded {
-			vals = append(vals, vals[len(vals)-1])
-		}
-		return col + " IN (" + strings.Join(marks, ", ") + ")", vals, true
-	}
-	// Composite: (c1 = ? AND c2 = ?) OR (...).
-	var groups []string
-	var params []any
-	for _, id := range ids {
-		cps, ok := g.decomposeID(table, expr, id)
-		if !ok {
-			continue
-		}
-		var conj []string
-		for _, cp := range cps {
-			conj = append(conj, cp.col+" = ?")
-			params = append(params, cp.val)
-		}
-		if len(conj) == 0 {
-			// Expression is all constants; any matching id selects all rows.
-			return "", nil, true
-		}
-		groups = append(groups, "("+strings.Join(conj, " AND ")+")")
-	}
-	if len(groups) == 0 {
-		return "", nil, false
-	}
-	return "(" + strings.Join(groups, " OR ") + ")", params, true
-}
-
 // predSQL translates one pushdown predicate over a property column.
 func predSQL(b *sqlBuilder, g *Graph, table, col string, p graph.Pred) {
 	switch p.Op {
@@ -227,17 +123,17 @@ func pushedPropertyNames(q *graph.Query) []string {
 	return out
 }
 
-func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query) *vertexPlan {
+// planVertexFetch prepares one table's fetch; ids holds q.IDs, decoded
+// once for every table the caller plans.
+func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query, ids *idMemo) *vertexPlan {
 	p := &vertexPlan{vm: vm, b: newSQLBuilder(vm.Table), labelPos: -1, possible: true}
 	b := p.b
 	b.asOf = g.opts.SnapshotTime
 
 	// Ids.
-	if len(q.IDs) > 0 {
-		if !g.addIDRestriction(b, vm.Table, vm.ID, q.IDs) {
-			p.possible = false
-			return p
-		}
+	if len(q.IDs) > 0 && !g.vertexIDs[vm].restrict(b, ids) {
+		p.possible = false
+		return p
 	}
 	// Labels.
 	if len(q.Labels) > 0 {
@@ -427,9 +323,10 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		q = &graph.Query{}
 	}
 	mult := repeatedIDs(q.IDs)
+	ids := &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, vm := range g.eligibleVertexMappings(q) {
-		p := g.planVertexFetch(vm, q)
+		p := g.planVertexFetch(vm, q, ids)
 		if !p.possible {
 			continue
 		}
@@ -471,7 +368,7 @@ func repeatedIDs(ids []string) map[string]int {
 
 // fetchVerticesFromTable fetches vertices by id from one pinned table.
 func (g *Graph) fetchVerticesFromTable(ctx context.Context, vm *overlay.VertexMapping, q *graph.Query) ([]*graph.Element, error) {
-	p := g.planVertexFetch(vm, q)
+	p := g.planVertexFetch(vm, q, &idMemo{ids: q.IDs})
 	if !p.possible {
 		return nil, nil
 	}
@@ -689,15 +586,16 @@ func (g *Graph) runEdgePlan(ctx context.Context, p *edgePlan, q *graph.Query) ([
 // addEdgeIDRestriction translates edge id lookups: explicit ids decompose
 // against the id expression; implicit ids decompose into conjunctive
 // predicates over the src, label, and dst columns (Section 6.3, "Using
-// Implicit Edge Id Values").
-func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids []string) {
+// Implicit Edge Id Values"). ids holds q.IDs.
+func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids *idMemo) {
 	em := p.em
 	b := p.b
-	if len(ids) == 0 {
+	if len(ids.ids) == 0 {
 		return
 	}
+	meta := g.edgeMeta[em]
 	if !em.ImplicitID {
-		if !g.addIDRestriction(b, em.Table, em.ID, ids) {
+		if !meta.id.restrict(b, ids) {
 			p.possible = false
 		}
 		return
@@ -709,25 +607,25 @@ func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids []string) {
 	}
 	var groups []string
 	var params []any
-	for _, id := range ids {
+	for _, id := range ids.ids {
 		src, label, dst, ok := em.MatchImplicitEdgeID(id)
 		if !ok {
 			continue
 		}
-		var conj []string
-		add := func(expr overlay.IDExpr, composed string) bool {
-			cps, ok := g.decomposeID(em.Table, expr, composed)
-			if !ok {
-				return false
-			}
-			for _, cp := range cps {
-				conj = append(conj, cp.col+" = ?")
-				params = append(params, cp.val)
-			}
-			return true
-		}
-		if !add(em.SrcV, src) || !add(em.DstV, dst) {
+		n := len(params)
+		if params, ok = meta.src.codec.decode(params, src); !ok {
 			continue
+		}
+		if params, ok = meta.dst.codec.decode(params, dst); !ok {
+			params = params[:n]
+			continue
+		}
+		var conj []string
+		for _, col := range meta.src.cols {
+			conj = append(conj, col+" = ?")
+		}
+		for _, col := range meta.dst.cols {
+			conj = append(conj, col+" = ?")
 		}
 		if !em.Label.IsConst {
 			conj = append(conj, em.Label.Column+" = ?")
@@ -750,13 +648,14 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	if q == nil {
 		q = &graph.Query{}
 	}
+	ids := &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, em := range g.eligibleEdgeMappings(q) {
 		p := g.planEdgeFetch(em, q)
 		if !p.possible {
 			continue
 		}
-		g.addEdgeIDRestriction(p, q.IDs)
+		g.addEdgeIDRestriction(p, ids)
 		if !p.possible {
 			continue
 		}
@@ -773,61 +672,32 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 }
 
 // addEndpointRestriction adds the src/dst vertex-id restriction for
-// VertexEdges.
-func (g *Graph) addEndpointRestriction(p *edgePlan, vids []string, dir graph.Direction) {
-	em := p.em
-	srcFrag, srcParams, srcAny := "", []any(nil), false
-	dstFrag, dstParams, dstAny := "", []any(nil), false
-	if dir == graph.DirOut || dir == graph.DirBoth {
-		srcFrag, srcParams, srcAny = g.endpointFragment(em.Table, em.SrcV, vids)
-	}
-	if dir == graph.DirIn || dir == graph.DirBoth {
-		dstFrag, dstParams, dstAny = g.endpointFragment(em.Table, em.DstV, vids)
-	}
-	switch {
-	case dir == graph.DirOut:
-		if !srcAny {
-			p.possible = false
-			return
-		}
-		if srcFrag != "" {
-			p.b.addWhere(srcFrag, srcParams...)
-			markEqCols(p.b, em.SrcV)
-		}
-	case dir == graph.DirIn:
-		if !dstAny {
-			p.possible = false
-			return
-		}
-		if dstFrag != "" {
-			p.b.addWhere(dstFrag, dstParams...)
-			markEqCols(p.b, em.DstV)
-		}
+// VertexEdges; vids holds the vertex ids.
+func (g *Graph) addEndpointRestriction(p *edgePlan, vids *idMemo, dir graph.Direction) {
+	meta := g.edgeMeta[p.em]
+	switch dir {
+	case graph.DirOut:
+		p.possible = meta.src.restrict(p.b, vids)
+	case graph.DirIn:
+		p.possible = meta.dst.restrict(p.b, vids)
 	default: // both
+		src, dst := newSQLBuilder(""), newSQLBuilder("")
+		srcAny := meta.src.where(src, vids.decode(meta.src.codec))
+		dstAny := meta.dst.where(dst, vids.decode(meta.dst.codec))
 		switch {
 		case srcAny && dstAny:
-			if srcFrag == "" || dstFrag == "" {
+			if len(src.where) == 0 || len(dst.where) == 0 {
 				return // one side matches everything
 			}
-			p.b.addWhere("("+srcFrag+" OR "+dstFrag+")", append(append([]any{}, srcParams...), dstParams...)...)
+			p.b.addWhere("("+src.where[0]+" OR "+dst.where[0]+")", append(src.params, dst.params...)...)
 		case srcAny:
-			if srcFrag != "" {
-				p.b.addWhere(srcFrag, srcParams...)
-			}
+			p.b.where = append(p.b.where, src.where...)
+			p.b.params = append(p.b.params, src.params...)
 		case dstAny:
-			if dstFrag != "" {
-				p.b.addWhere(dstFrag, dstParams...)
-			}
+			p.b.where = append(p.b.where, dst.where...)
+			p.b.params = append(p.b.params, dst.params...)
 		default:
 			p.possible = false
-		}
-	}
-}
-
-func markEqCols(b *sqlBuilder, expr overlay.IDExpr) {
-	for _, t := range expr.Terms {
-		if !t.IsConst {
-			b.eqCols = append(b.eqCols, t.Column)
 		}
 	}
 }
@@ -843,17 +713,18 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 	if len(vids) == 0 {
 		return nil, nil
 	}
+	ends, ids := &idMemo{ids: vids}, &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, em := range g.eligibleEdgeMappings(q) {
 		p := g.planEdgeFetch(em, q)
 		if !p.possible {
 			continue
 		}
-		g.addEndpointRestriction(p, vids, dir)
+		g.addEndpointRestriction(p, ends, dir)
 		if !p.possible {
 			continue
 		}
-		g.addEdgeIDRestriction(p, q.IDs)
+		g.addEdgeIDRestriction(p, ids)
 		if !p.possible {
 			continue
 		}
@@ -1257,11 +1128,12 @@ func (g *Graph) AggV(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 		return g.aggVFallback(ctx, q, agg)
 	}
 	comb := newAggCombiner(agg)
+	ids := &idMemo{ids: q.IDs}
 	for _, vm := range g.eligibleVertexMappings(q) {
 		if agg.Key != "" && !vm.HasProperty(agg.Key) {
 			continue // no contribution from a table lacking the property
 		}
-		p := g.planVertexFetch(vm, q)
+		p := g.planVertexFetch(vm, q, ids)
 		if !p.possible {
 			continue
 		}
@@ -1296,6 +1168,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
 	}
 	comb := newAggCombiner(agg)
+	ids := &idMemo{ids: q.IDs}
 	for _, em := range g.eligibleEdgeMappings(q) {
 		if agg.Key != "" && !em.HasProperty(agg.Key) {
 			continue
@@ -1304,7 +1177,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 		if !p.possible {
 			continue
 		}
-		g.addEdgeIDRestriction(p, q.IDs)
+		g.addEdgeIDRestriction(p, ids)
 		if !p.possible {
 			continue
 		}
@@ -1324,7 +1197,9 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 
 // AggVertexEdges implements graph.Backend: the countLinks fast path —
 // SELECT COUNT(*) FROM EdgeTable WHERE src_v IN (...) AND ... in one round
-// trip per eligible table.
+// trip per eligible table. An unrestricted count first takes every vertex
+// whose adjacency group is cached (countCachedGroups) and sends only the
+// rest to SQL.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return types.Null, err
@@ -1337,6 +1212,14 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
 	}
 	comb := newAggCombiner(agg)
+	all := vids
+	if agg.Kind == graph.AggCount && agg.Key == "" {
+		vids, comb.count = g.countCachedGroups(vids, dir, q)
+		if len(vids) == 0 {
+			return comb.result(), nil
+		}
+	}
+	ends, ids := &idMemo{ids: vids}, &idMemo{ids: q.IDs}
 	for _, em := range g.eligibleEdgeMappings(q) {
 		if agg.Key != "" && !em.HasProperty(agg.Key) {
 			continue
@@ -1345,18 +1228,18 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 		if !p.possible {
 			continue
 		}
-		g.addEndpointRestriction(p, vids, dir)
+		g.addEndpointRestriction(p, ends, dir)
 		if !p.possible {
 			continue
 		}
-		g.addEdgeIDRestriction(p, q.IDs)
+		g.addEdgeIDRestriction(p, ids)
 		if !p.possible {
 			continue
 		}
 		if !p.b.fullyPushed || dir == graph.DirBoth {
 			// DirBoth can double-count self-referencing rows in SQL; use the
 			// materialized path for full fidelity.
-			els, err := g.VertexEdges(ctx, vids, dir, q)
+			els, err := g.VertexEdges(ctx, all, dir, q)
 			if err != nil {
 				return types.Null, err
 			}

@@ -204,6 +204,42 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	return out, nil
 }
 
+// countCachedGroups serves a count from the adjacency cache: it returns
+// the total size of the groups cached for vids at the current data
+// version, and the vertices whose groups are not cached, which the caller
+// counts in SQL. A group equals the vertex's VertexEdges result, so its
+// length is the vertex's share of the count. Each distinct vertex counts
+// once, as the SQL IN list does. Only a count the cached groups answer
+// qualifies — unrestricted (cacheableQuery), without ids or a limit, on one
+// direction (both() can meet a self-loop twice); any other query gets all
+// of vids back.
+func (g *Graph) countCachedGroups(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
+	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && (len(q.IDs) > 0 || q.Limit > 0)) {
+		return vids, 0
+	}
+	version := g.DataVersion()
+	var seen map[string]bool
+	if len(vids) > 1 {
+		seen = make(map[string]bool, len(vids))
+	}
+	var n int64
+	misses := vids[:0:0]
+	for _, vid := range vids {
+		if seen != nil {
+			if seen[vid] {
+				continue
+			}
+			seen[vid] = true
+		}
+		if group, ok := g.adjCache.Get(adjKey(vid, dir), version); ok {
+			n += int64(len(group))
+			continue
+		}
+		misses = append(misses, vid)
+	}
+	return misses, n
+}
+
 var (
 	_ graph.BatchBackend       = (*Graph)(nil)
 	_ graph.DataVersioned      = (*Graph)(nil)

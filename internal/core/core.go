@@ -64,8 +64,9 @@ func DefaultOptions() Options {
 // Graph is an opened Db2 Graph instance: a property-graph view over
 // relational tables, queryable with Gremlin, fully backed by live data.
 //
-// Safe for concurrent use: the overlay topology, column-type and edge-meta
-// caches are built in Open and read-only afterwards; the SQL engine admits
+// Safe for concurrent use: the overlay topology, column-type, compiled-id
+// and edge-meta caches are built in Open and read-only afterwards (the
+// compiled ids' fragment caches fill atomically); the SQL engine admits
 // concurrent readers (engine.Database takes no lock on reads), and the
 // statement cache behind Dialect is RWMutex-guarded. Scan order follows the
 // backing tables, so results are deterministic and per-vertex adjacency
@@ -76,10 +77,12 @@ type Graph struct {
 	dialect *Dialect
 	opts    Options
 
-	// colTypes caches column types per relation for id-value coercion.
+	// colTypes caches column types per relation for predicate coercion.
 	colTypes map[string]map[string]types.Kind
-	// srcSingle/dstSingle cache single-column src_v/dst_v expressions.
-	edgeMeta map[*overlay.EdgeMapping]*edgeMeta
+	// vertexIDs and edgeMeta hold each mapping's compiled id expressions
+	// (idcodec.go) and, for edges, the precomputed optimization facts.
+	vertexIDs map[*overlay.VertexMapping]*idAccess
+	edgeMeta  map[*overlay.EdgeMapping]*edgeMeta
 
 	// vtxCache and adjCache are version-tagged hot-path caches (resolved
 	// vertices by id; per-(vertex,direction) adjacency groups), keyed to the
@@ -90,11 +93,11 @@ type Graph struct {
 	adjCache *graph.VersionedCache[[]*graph.Element]
 }
 
-// edgeMeta holds precomputed per-edge-mapping optimization facts.
+// edgeMeta holds precomputed per-edge-mapping facts.
 type edgeMeta struct {
-	// srcCol/dstCol are set when src_v/dst_v is a single bare column.
-	srcCol string
-	dstCol string
+	// src, dst and id are the compiled src_v, dst_v and explicit id
+	// expressions (id is nil for implicit edge ids).
+	src, dst, id *idAccess
 	// vertexFromEdgeSrc/Dst report that the src/dst vertex maps to the very
 	// same row as the edge (fact-table case).
 	vertexFromEdgeSrc bool
@@ -110,14 +113,15 @@ func Open(db *engine.Database, cfg *overlay.Config, opts Options) (*Graph, error
 		return nil, err
 	}
 	g := &Graph{
-		db:       db,
-		topo:     topo,
-		dialect:  NewDialect(db, opts.StatementCache),
-		opts:     opts,
-		colTypes: make(map[string]map[string]types.Kind),
-		edgeMeta: make(map[*overlay.EdgeMapping]*edgeMeta),
-		vtxCache: graph.NewVersionedCache[*graph.Element](0),
-		adjCache: graph.NewVersionedCache[[]*graph.Element](0),
+		db:        db,
+		topo:      topo,
+		dialect:   NewDialect(db, opts.StatementCache),
+		opts:      opts,
+		colTypes:  make(map[string]map[string]types.Kind),
+		vertexIDs: make(map[*overlay.VertexMapping]*idAccess),
+		edgeMeta:  make(map[*overlay.EdgeMapping]*edgeMeta),
+		vtxCache:  graph.NewVersionedCache[*graph.Element](0),
+		adjCache:  graph.NewVersionedCache[[]*graph.Element](0),
 	}
 	cacheTypes := func(rel string) error {
 		key := strings.ToLower(rel)
@@ -144,7 +148,13 @@ func Open(db *engine.Database, cfg *overlay.Config, opts Options) (*Graph, error
 		if err := cacheTypes(em.Table); err != nil {
 			return nil, err
 		}
-		g.edgeMeta[em] = g.buildEdgeMeta(em)
+	}
+	ids := newIDCompiler(g)
+	for _, vm := range topo.Vertices {
+		g.vertexIDs[vm] = ids.compile(vm.Table, vm.ID)
+	}
+	for _, em := range topo.Edges {
+		g.edgeMeta[em] = g.buildEdgeMeta(em, ids)
 	}
 	return g, nil
 }
@@ -159,13 +169,13 @@ func OpenFile(db *engine.Database, path string, opts Options) (*Graph, error) {
 	return Open(db, cfg, opts)
 }
 
-func (g *Graph) buildEdgeMeta(em *overlay.EdgeMapping) *edgeMeta {
-	meta := &edgeMeta{}
-	if len(em.SrcV.Terms) == 1 && !em.SrcV.Terms[0].IsConst {
-		meta.srcCol = em.SrcV.Terms[0].Column
+func (g *Graph) buildEdgeMeta(em *overlay.EdgeMapping, ids *idCompiler) *edgeMeta {
+	meta := &edgeMeta{
+		src: ids.compile(em.Table, em.SrcV),
+		dst: ids.compile(em.Table, em.DstV),
 	}
-	if len(em.DstV.Terms) == 1 && !em.DstV.Terms[0].IsConst {
-		meta.dstCol = em.DstV.Terms[0].Column
+	if !em.ImplicitID {
+		meta.id = ids.compile(em.Table, em.ID)
 	}
 	// Vertex-from-edge: endpoint vertex rows coincide with edge rows.
 	if em.SrcVTable != "" && strings.EqualFold(em.SrcVTable, em.Table) {
@@ -279,19 +289,6 @@ func (g *Graph) columnType(table, col string) types.Kind {
 		return m[strings.ToLower(col)]
 	}
 	return types.KindNull
-}
-
-// coerceIDPart converts a decomposed id part to the column's type so SQL
-// equality behaves (ids travel as strings; columns are usually BIGINT).
-func (g *Graph) coerceIDPart(table, col, part string) any {
-	kind := g.columnType(table, col)
-	v := types.NewString(part)
-	if kind != types.KindNull && kind != types.KindString {
-		if cv, err := types.CoerceTo(v, kind); err == nil {
-			return cv
-		}
-	}
-	return v
 }
 
 // coercePredValue converts a pushdown predicate value to the column type.

@@ -161,7 +161,8 @@ func escapePart(s string) string {
 	return strings.ReplaceAll(s, ":", "%3A")
 }
 
-func unescapePart(s string) string {
+// UnescapePart reverses the escaping ComposeID applies to one id part.
+func UnescapePart(s string) string {
 	s = strings.ReplaceAll(s, "%3A", ":")
 	return strings.ReplaceAll(s, "%25", "%")
 }
@@ -181,7 +182,7 @@ func DecomposeID(id string) []string {
 	raw := strings.Split(id, "::")
 	out := make([]string, len(raw))
 	for i, p := range raw {
-		out[i] = unescapePart(p)
+		out[i] = UnescapePart(p)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -237,14 +238,7 @@ func (s *ScanNode) Open(ctx *Context) error {
 		// Probes may overlap (IN lists can repeat values); a row must be
 		// emitted once — IN is a predicate, not a join.
 		seen := make(map[storage.RowID]bool, len(s.KeySets))
-		for _, keyExprs := range s.KeySets {
-			key, err := evalKey(keyExprs, nil, s.params)
-			if err != nil {
-				return err
-			}
-			if hasNullKey(key) {
-				continue
-			}
+		err := s.probe(func(key []types.Value) error {
 			if id, ok := s.Table.LookupPK(key); ok && !seen[id] {
 				seen[id] = true
 				if row, ok := s.Table.Get(id); ok {
@@ -253,17 +247,14 @@ func (s *ScanNode) Open(ctx *Context) error {
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	case AccessIndex:
 		seen := make(map[storage.RowID]bool, len(s.KeySets))
-		for _, keyExprs := range s.KeySets {
-			key, err := evalKey(keyExprs, nil, s.params)
-			if err != nil {
-				return err
-			}
-			if hasNullKey(key) {
-				continue
-			}
+		err := s.probe(func(key []types.Value) error {
 			ids, err := s.Table.IndexLookup(s.Index, key)
 			if err != nil {
 				return err
@@ -279,6 +270,10 @@ func (s *ScanNode) Open(ctx *Context) error {
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	case AccessIndexRange:
 		lo, err := evalKey(s.Lo, nil, s.params)
@@ -325,6 +320,51 @@ func (s *ScanNode) Open(ctx *Context) error {
 		return fmt.Errorf("exec: unknown scan access %d", s.Access)
 	}
 	return scanErr
+}
+
+// probe evaluates each probe's key tuple and passes it to fn, skipping a
+// key with a NULL component (it equals nothing) and a key identical to the
+// previous probe's: padded IN lists repeat their last value, and the
+// repeat would find the same rows again. fn must not retain key.
+func (s *ScanNode) probe(fn func(key []types.Value) error) error {
+	var key, prev []types.Value
+	for i, keyExprs := range s.KeySets {
+		if cap(key) < len(keyExprs) {
+			key = make([]types.Value, len(keyExprs))
+		}
+		key = key[:len(keyExprs)]
+		for j, e := range keyExprs {
+			v, err := e(nil, s.params)
+			if err != nil {
+				return err
+			}
+			key[j] = v
+		}
+		if hasNullKey(key) || (i > 0 && sameKey(key, prev)) {
+			continue
+		}
+		if err := fn(key); err != nil {
+			return err
+		}
+		key, prev = prev, key
+	}
+	return nil
+}
+
+// sameKey reports whether two key tuples encode identically (see
+// types.Value.EncodeKey), so probing the second finds exactly the rows the
+// first found.
+func sameKey(a, b []types.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Kind != y.Kind || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+			return false
+		}
+	}
+	return true
 }
 
 func evalKey(exprs []ExprFn, row, params []types.Value) ([]types.Value, error) {
