@@ -20,7 +20,7 @@ test:
 	$(GO) test -race -timeout 120s ./...
 
 # cluster-faults runs the sharded-coordinator chaos suite — shard map and
-# partition invariants, breaker lifecycle, retry/hedge/health behavior,
+# partition invariants, breaker lifecycle, retry/health behavior,
 # server drain, and the four-backend RunClusterFaults differential — twice
 # under the race detector to shake out timing-dependent flakes.
 cluster-faults:

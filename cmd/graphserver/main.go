@@ -17,7 +17,7 @@
 //
 // Cluster deployment: N shard servers each hold one hash partition of the
 // graph (-shard-index/-shard-count), and a coordinator server scatters
-// queries across them with retries, hedging, health checks, and circuit
+// queries across them with retries, health checks, and circuit
 // breakers (-coordinator):
 //
 //	graphserver -demo -shard-index 0 -shard-count 2 -addr :8183
@@ -105,8 +105,6 @@ func main() {
 			"comma-separated shard server addresses; serve a scatter-gather coordinator over them instead of local data")
 		clusterRetries = flag.Int("cluster-retries", 2,
 			"coordinator: retries per shard read on availability failures (negative disables)")
-		clusterNoHedge = flag.Bool("cluster-no-hedge", false,
-			"coordinator: disable hedged requests")
 		clusterHealthInterval = flag.Duration("cluster-health-interval", 2*time.Second,
 			"coordinator: background shard health probe period (0 disables)")
 		clusterDegraded = flag.Bool("cluster-degraded", false,
@@ -190,7 +188,6 @@ func main() {
 			Replicas:       splitAddrs(*replicas),
 			ReplicaReads:   *replicaReads,
 			Retries:        *clusterRetries,
-			NoHedge:        *clusterNoHedge,
 			HealthInterval: *clusterHealthInterval,
 			Degraded:       *clusterDegraded,
 			RequestTimeout: *clusterRequestTimeout,

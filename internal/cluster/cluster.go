@@ -19,7 +19,7 @@ import (
 
 // ErrShardUnavailable is the typed availability failure: a shard could not
 // be reached (transport failure, overload, open circuit breaker) after the
-// coordinator exhausted its retry and hedge budget. It is deliberately
+// coordinator exhausted its retry budget. It is deliberately
 // distinct from execution failures (a remote TIMEOUT or PARSE passes
 // through with its own sentinel): callers can tell "the answer does not
 // exist" from "the answer exists but this shard is down" and choose to
@@ -65,20 +65,6 @@ type Config struct {
 	// RequestTimeout bounds one shard exchange when the caller's context
 	// carries no deadline (default 10s).
 	RequestTimeout time.Duration
-
-	// NoHedge disables hedged requests. When hedging is on, a second
-	// attempt is fired on a dedicated connection once the first has been
-	// outstanding longer than HedgeMultiplier times the shard's observed
-	// latency EWMA (clamped to [HedgeMin, HedgeMax]); first response wins.
-	NoHedge bool
-	// HedgeMultiplier scales the latency EWMA into the hedge threshold
-	// (default 3).
-	HedgeMultiplier float64
-	// HedgeMin floors the hedge threshold (default 25ms).
-	HedgeMin time.Duration
-	// HedgeMax caps the hedge threshold, and is the threshold before any
-	// latency has been observed (default 500ms).
-	HedgeMax time.Duration
 
 	// BreakerThreshold is the consecutive availability-failure count that
 	// opens a shard's circuit breaker (default 3).
@@ -132,7 +118,7 @@ type Config struct {
 	// unavailable shard fails the whole read with ErrShardUnavailable.
 	Degraded bool
 
-	// Registry receives per-shard telemetry (request/retry/hedge counters,
+	// Registry receives per-shard telemetry (request/retry counters,
 	// latency histograms, breaker-state gauges). Nil uses
 	// telemetry.Default().
 	Registry *telemetry.Registry
@@ -153,18 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.HedgeMultiplier <= 0 {
-		c.HedgeMultiplier = 3
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 25 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 500 * time.Millisecond
-	}
-	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = c.HedgeMin
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -251,7 +225,7 @@ func partialReportFrom(ctx context.Context) *PartialReport {
 //     dedup, global limits, float accumulation order) never depend on how
 //     many shards answered.
 //
-// All reads are idempotent, which is what licenses retries and hedging.
+// All reads are idempotent, which is what licenses retries.
 type Coordinator struct {
 	cfg     Config
 	m       ShardMap
@@ -538,7 +512,8 @@ func (c *Coordinator) V(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 }
 
 // E implements graph.Backend. Edge ids do not hash to shards, so every E
-// read broadcasts; dual-homed copies collapse in the id-sorted merge.
+// read broadcasts; dual-homed copies collapse in the id-sorted merge, and
+// only then does an edge repeat once per occurrence of its id in q.IDs.
 func (c *Coordinator) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -558,7 +533,7 @@ func (c *Coordinator) E(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 		}
 	}
 	sortByID(merged)
-	merged = dedupSortedByID(merged)
+	merged = repeatByIDs(dedupSortedByID(merged), sub.IDs)
 	return applyLimit(merged, q), nil
 }
 
@@ -712,6 +687,28 @@ func dedupSortedByID(els []*graph.Element) []*graph.Element {
 	return out
 }
 
+// repeatByIDs copies each element once per occurrence of its id in ids, as
+// g.E('e1', 'e1') has two traversers.
+func repeatByIDs(els []*graph.Element, ids []string) []*graph.Element {
+	if len(ids) < 2 {
+		return els
+	}
+	n := make(map[string]int, len(ids))
+	for _, id := range ids {
+		n[id]++
+	}
+	if len(n) == len(ids) {
+		return els
+	}
+	out := make([]*graph.Element, 0, len(els))
+	for _, el := range els {
+		for k := max(n[el.ID], 1); k > 0; k-- {
+			out = append(out, el)
+		}
+	}
+	return out
+}
+
 func applyLimit(els []*graph.Element, q *graph.Query) []*graph.Element {
 	if q != nil && q.Limit > 0 && len(els) > q.Limit {
 		return els[:q.Limit]
@@ -720,7 +717,7 @@ func applyLimit(els []*graph.Element, q *graph.Query) []*graph.Element {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard client: retries, hedging, breaker, health
+// Per-shard client: retries, breaker, health
 
 // lazyClient dials on first use so the coordinator can start before its
 // shards (and survive a shard restart: the underlying client redials).
@@ -794,14 +791,12 @@ type shard struct {
 	addr string // initial primary address; see activeAddr for the live one
 	cfg  Config
 
-	// conns[0] carries primary attempts, conns[1] hedges — separate
-	// connections so a hedge is never serialized behind the very exchange
-	// it is hedging. health has its own connection for the same reason.
-	conns  [2]*lazyClient
+	// conn carries query attempts. health has its own connection so a
+	// probe is never serialized behind a stuck query exchange.
+	conn   *lazyClient
 	health *lazyClient
 
 	breaker *Breaker
-	ewmaNs  atomic.Int64
 
 	// Failover state (rmu): the live endpoint, the follower (if any), and
 	// the probe-confirmation counter feeding the state machine.
@@ -818,8 +813,6 @@ type shard struct {
 	requests   *telemetry.Counter
 	failures   *telemetry.Counter
 	retries    *telemetry.Counter
-	hedges     *telemetry.Counter
-	hedgeWins  *telemetry.Counter
 	probes     *telemetry.Counter
 	failovers  *telemetry.Counter
 	replReads  *telemetry.Counter
@@ -846,19 +839,14 @@ func newShard(idx int, addr, replicaAddr string, cfg Config, reg *telemetry.Regi
 		active:      addr,
 		replicaAddr: replicaAddr,
 		cfg:         cfg,
-		conns: [2]*lazyClient{
-			{addr: addr, opts: opts},
-			{addr: addr, opts: opts},
-		},
-		health: &lazyClient{addr: addr, opts: gserver.Options{Timeout: cfg.HealthTimeout, DialRetries: -1}},
+		conn:        &lazyClient{addr: addr, opts: opts},
+		health:      &lazyClient{addr: addr, opts: gserver.Options{Timeout: cfg.HealthTimeout, DialRetries: -1}},
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooloff,
 			reg.Gauge("cluster_breaker_state"+label),
 			reg.Counter("cluster_breaker_opens_total"+label)),
 		requests:   reg.Counter("cluster_requests_total" + label),
 		failures:   reg.Counter("cluster_failures_total" + label),
 		retries:    reg.Counter("cluster_retries_total" + label),
-		hedges:     reg.Counter("cluster_hedges_total" + label),
-		hedgeWins:  reg.Counter("cluster_hedge_wins_total" + label),
 		probes:     reg.Counter("cluster_health_probes_total" + label),
 		failovers:  reg.Counter("cluster_failovers_total" + label),
 		replReads:  reg.Counter("cluster_replica_reads_total" + label),
@@ -884,8 +872,7 @@ func newShard(idx int, addr, replicaAddr string, cfg Config, reg *telemetry.Regi
 func (s *shard) close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
-	s.conns[0].close()
-	s.conns[1].close()
+	s.conn.close()
 	s.health.close()
 	s.rmu.Lock()
 	rcl := s.replicaCl
@@ -896,7 +883,7 @@ func (s *shard) close() {
 }
 
 // do performs one idempotent read against this shard under the full
-// robustness pipeline — breaker admission, hedged attempts, and jittered
+// robustness pipeline — breaker admission, abandonable attempts, and jittered
 // capped-backoff retries that never sleep past the caller's deadline — and
 // returns the decoded reply. Availability-class failures come back as
 // *ShardError (matching ErrShardUnavailable); execution failures pass
@@ -983,30 +970,27 @@ func (s *shard) decode(resp gserver.Response) (reply, error) {
 	return reply{els: els, groups: groups}, nil
 }
 
-// attempt performs one (possibly hedged) exchange. The hedge fires on the
-// second connection after the adaptive threshold; whichever attempt
-// finishes first with a success wins, and a stale late response is
-// discarded through the buffered channel. Whenever an in-flight attempt is
-// abandoned — the caller's context ends, or the other attempt wins — its
-// connection is torn down (abandon) so the next exchange on that slot
-// dials fresh instead of serializing behind a dead exchange draining
-// against its socket deadline.
+// attempt performs one exchange. It runs on its own goroutine so the
+// caller's context can end it: when the context is done first, the
+// exchange's connection is torn down (drop) so the next request on this
+// shard dials fresh instead of serializing behind a dead exchange draining
+// against its socket deadline, and the late outcome parks in the buffered
+// channel.
 func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (reply, error) {
 	type outcome struct {
 		rep reply
 		err error
-		ci  int
 	}
-	ch := make(chan outcome, 2)
-	// liveCl publishes each attempt's client before the exchange starts, so
-	// abandonment can target exactly the client that is blocked (and never
-	// a fresh one a concurrent request just dialed on the same slot).
-	var liveCl [2]atomic.Pointer[gserver.Client]
-	call := func(ci int) {
-		cl, err := s.conns[ci].get()
+	ch := make(chan outcome, 1)
+	// live publishes the exchange's client before it starts, so abandonment
+	// targets exactly the client that is blocked (and never a fresh one a
+	// concurrent request just dialed).
+	var live atomic.Pointer[gserver.Client]
+	go func() {
+		cl, err := s.conn.get()
 		var rep reply
 		if err == nil {
-			liveCl[ci].Store(cl)
+			live.Store(cl)
 			start := time.Now()
 			var resp gserver.Response
 			resp, err = cl.GraphOpCtx(ctx, op)
@@ -1016,98 +1000,18 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (reply, error) 
 				rep, err = s.decode(resp)
 			}
 			if err == nil {
-				d := time.Since(start)
-				s.latency.Observe(d)
-				s.observeLatency(d)
+				s.latency.Observe(time.Since(start))
 			}
 		}
-		ch <- outcome{rep: rep, err: err, ci: ci}
+		ch <- outcome{rep: rep, err: err}
+	}()
+	select {
+	case o := <-ch:
+		return o.rep, o.err
+	case <-ctx.Done():
+		s.conn.drop(live.Load())
+		return reply{}, ctx.Err()
 	}
-	inflight := [2]bool{true, false}
-	abandon := func() {
-		for ci, fl := range inflight {
-			if fl {
-				s.conns[ci].drop(liveCl[ci].Load())
-			}
-		}
-	}
-	go call(0)
-
-	var hedgeC <-chan time.Time
-	if !s.cfg.NoHedge {
-		t := time.NewTimer(s.hedgeThreshold())
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			pending--
-			inflight[o.ci] = false
-			if o.err == nil {
-				if o.ci == 1 {
-					s.hedgeWins.Inc()
-				}
-				abandon() // cut a still-pending losing attempt loose
-				return o.rep, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if pending == 0 {
-				return reply{}, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			s.hedges.Inc()
-			pending++
-			inflight[1] = true
-			go call(1)
-		case <-ctx.Done():
-			// Abandon in-flight attempts: their connections are closed out
-			// from under them, the blocked exchanges fail immediately, and
-			// their outcomes park in the buffered channel.
-			abandon()
-			return reply{}, ctx.Err()
-		}
-	}
-}
-
-// observeLatency folds one successful exchange into the hedging EWMA
-// (alpha = 0.2).
-func (s *shard) observeLatency(d time.Duration) {
-	for {
-		old := s.ewmaNs.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
-			next = old + (int64(d)-old)/5
-		}
-		if s.ewmaNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// hedgeThreshold derives the adaptive hedge delay: a multiple of the
-// observed latency EWMA, clamped to [HedgeMin, HedgeMax]; before any
-// observation it is HedgeMax (hedge late rather than double load blindly).
-func (s *shard) hedgeThreshold() time.Duration {
-	ewma := s.ewmaNs.Load()
-	if ewma == 0 {
-		return s.cfg.HedgeMax
-	}
-	d := time.Duration(float64(ewma) * s.cfg.HedgeMultiplier)
-	if d < s.cfg.HedgeMin {
-		d = s.cfg.HedgeMin
-	}
-	if d > s.cfg.HedgeMax {
-		d = s.cfg.HedgeMax
-	}
-	return d
 }
 
 // healthLoop probes "!health" on the shard's dedicated connection, feeding

@@ -113,8 +113,7 @@ func (s *shard) confirmDead() {
 	}
 
 	// Reroute: all traffic slots now dial the promoted follower.
-	s.conns[0].setAddr(replicaAddr)
-	s.conns[1].setAddr(replicaAddr)
+	s.conn.setAddr(replicaAddr)
 	s.health.setAddr(replicaAddr)
 	s.epoch.Store(newEpoch)
 	s.epochGauge.Set(int64(newEpoch))
@@ -213,9 +212,9 @@ func (s *shard) tryReplicaRead(ctx context.Context, op gserver.GraphOp) (reply, 
 // Coordinator mutations
 
 // doWrite performs one mutation against the shard's active endpoint. No
-// retries, no hedging: mutations are not idempotent, so an availability
-// failure after send is an INDETERMINATE outcome, surfaced as a typed
-// *WriteError rather than masked by a blind replay. The only replayed case
+// retries: mutations are not idempotent, so an availability failure after
+// send is an INDETERMINATE outcome, surfaced as a typed *WriteError rather
+// than masked by a blind replay. The only replayed case
 // is a determinate FENCED/NOT_PRIMARY rejection — the server proved it did
 // not apply the write — which is re-routed once after refreshing the
 // failover state (the write raced a promotion).
@@ -230,7 +229,7 @@ func (s *shard) doWrite(ctx context.Context, op gserver.GraphOp) error {
 				Err: &ShardError{Shard: s.idx, Addr: s.activeAddr(), Err: errBreakerOpen}}
 		}
 		op.Epoch = s.epoch.Load()
-		cl, err := s.conns[0].get()
+		cl, err := s.conn.get()
 		if err != nil {
 			// Dial failed: nothing was sent, determinately.
 			s.failures.Inc()

@@ -73,7 +73,6 @@ func TestAutomaticFailover(t *testing.T) {
 		Addrs:             []string{paddr},
 		Replicas:          []string{faddr},
 		Retries:           -1,
-		NoHedge:           true,
 		RequestTimeout:    time.Second,
 		BreakerThreshold:  2,
 		BreakerCooloff:    30 * time.Second, // recovery must come from failover, not cooloff
@@ -207,7 +206,6 @@ func TestReplicaReads(t *testing.T) {
 		Addrs:             []string{paddr},
 		Replicas:          []string{faddr},
 		Retries:           -1,
-		NoHedge:           true,
 		RequestTimeout:    time.Second,
 		BreakerThreshold:  2,
 		BreakerCooloff:    30 * time.Second,
@@ -281,7 +279,6 @@ func TestProberBackoffBoundsProbeCount(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	coord, err := Dial(Config{
 		Addrs:            []string{dead},
-		NoHedge:          true,
 		HealthInterval:   10 * time.Millisecond,
 		HealthBackoffMax: 320 * time.Millisecond,
 		HealthTimeout:    100 * time.Millisecond,

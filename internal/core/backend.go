@@ -334,20 +334,26 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		if err != nil {
 			return nil, err
 		}
-		if mult == nil {
-			out = append(out, els...)
-		} else {
-			for _, el := range els {
-				for n := max(mult[el.ID], 1); n > 0; n-- {
-					out = append(out, el)
-				}
-			}
-		}
+		out = appendRepeated(out, els, mult)
 		if q.Limit > 0 && len(out) >= q.Limit {
 			return out[:q.Limit], nil
 		}
 	}
 	return out, nil
+}
+
+// appendRepeated appends els to out, each element once per occurrence of
+// its id in mult (repeatedIDs); a nil mult appends every element once.
+func appendRepeated(out, els []*graph.Element, mult map[string]int) []*graph.Element {
+	if mult == nil {
+		return append(out, els...)
+	}
+	for _, el := range els {
+		for n := max(mult[el.ID], 1); n > 0; n-- {
+			out = append(out, el)
+		}
+	}
+	return out
 }
 
 // repeatedIDs counts the occurrences of each id, or returns nil when no id
@@ -640,7 +646,8 @@ func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids *idMemo) {
 	b.addWhere("("+strings.Join(groups, " OR ")+")", params...)
 }
 
-// E implements graph.Backend.
+// E implements graph.Backend. Like V, it copies an edge once per occurrence
+// of its id in q.IDs.
 func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -648,6 +655,7 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	if q == nil {
 		q = &graph.Query{}
 	}
+	mult := repeatedIDs(q.IDs)
 	ids := &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, em := range g.eligibleEdgeMappings(q) {
@@ -663,7 +671,7 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, els...)
+		out = appendRepeated(out, els, mult)
 		if q.Limit > 0 && len(out) >= q.Limit {
 			return out[:q.Limit], nil
 		}
@@ -1155,6 +1163,14 @@ func (g *Graph) aggVFallback(ctx context.Context, q *graph.Query, agg graph.Agg)
 	return graph.AggregateElements(els, agg)
 }
 
+func (g *Graph) aggEFallback(ctx context.Context, q *graph.Query, agg graph.Agg) (types.Value, error) {
+	els, err := g.E(ctx, q)
+	if err != nil {
+		return types.Null, err
+	}
+	return graph.AggregateElements(els, agg)
+}
+
 // AggE implements graph.Backend.
 func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
@@ -1166,6 +1182,10 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 	sel, ok := aggSelect(agg)
 	if !ok {
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
+	}
+	if repeatedIDs(q.IDs) != nil {
+		// SQL would see each repeated id once; E emits every occurrence.
+		return g.aggEFallback(ctx, q, agg)
 	}
 	comb := newAggCombiner(agg)
 	ids := &idMemo{ids: q.IDs}
@@ -1182,11 +1202,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 			continue
 		}
 		if !p.b.fullyPushed {
-			els, err := g.E(ctx, q)
-			if err != nil {
-				return types.Null, err
-			}
-			return graph.AggregateElements(els, agg)
+			return g.aggEFallback(ctx, q, agg)
 		}
 		if err := g.runAggSQL(ctx, p.b, em.Table, sel, comb); err != nil {
 			return types.Null, err
@@ -1198,7 +1214,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 // AggVertexEdges implements graph.Backend: the countLinks fast path —
 // SELECT COUNT(*) FROM EdgeTable WHERE src_v IN (...) AND ... in one round
 // trip per eligible table. An unrestricted count first takes every vertex
-// whose adjacency group is cached (countCachedGroups) and sends only the
+// whose adjacency group is cached (countFromCache) and sends only the
 // rest to SQL.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
@@ -1214,7 +1230,7 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 	comb := newAggCombiner(agg)
 	all := vids
 	if agg.Kind == graph.AggCount && agg.Key == "" {
-		vids, comb.count = g.countCachedGroups(vids, dir, q)
+		vids, comb.count = g.countFromCache(vids, dir, q)
 		if len(vids) == 0 {
 			return comb.result(), nil
 		}

@@ -204,7 +204,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	return out, nil
 }
 
-// countCachedGroups serves a count from the adjacency cache: it returns
+// countFromCache serves a count from the adjacency cache: it returns
 // the total size of the groups cached for vids at the current data
 // version, and the vertices whose groups are not cached, which the caller
 // counts in SQL. A group equals the vertex's VertexEdges result, so its
@@ -213,7 +213,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 // qualifies — unrestricted (cacheableQuery), without ids or a limit, on one
 // direction (both() can meet a self-loop twice); any other query gets all
 // of vids back.
-func (g *Graph) countCachedGroups(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
+func (g *Graph) countFromCache(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
 	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && (len(q.IDs) > 0 || q.Limit > 0)) {
 		return vids, 0
 	}

@@ -332,7 +332,8 @@ type Backend interface {
 	// V returns the vertices matching q. A vertex whose id q.IDs repeats
 	// appears once per occurrence, as g.V('a', 'a') has two traversers.
 	V(ctx context.Context, q *Query) ([]*Element, error)
-	// E returns the edges matching q.
+	// E returns the edges matching q. Like V, an edge whose id q.IDs
+	// repeats appears once per occurrence.
 	E(ctx context.Context, q *Query) ([]*Element, error)
 	// VertexEdges returns the edges incident to the given vertex ids in the
 	// given direction, filtered by q. Each matching edge appears at most

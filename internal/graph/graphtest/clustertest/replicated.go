@@ -191,7 +191,6 @@ func RunReplicatedCluster(t *testing.T, build MutableBuilder) {
 		h := startReplicated(t, build, 2, cluster.Config{
 			Retries:        2,
 			RequestTimeout: 10 * time.Second,
-			NoHedge:        true,
 		})
 		const writers, perWriter = 4, 25
 		var wg sync.WaitGroup
@@ -277,7 +276,6 @@ func RunReplicatedCluster(t *testing.T, build MutableBuilder) {
 	t.Run("failover", func(t *testing.T) {
 		h := startReplicated(t, build, 2, cluster.Config{
 			Retries:           -1,
-			NoHedge:           true,
 			RequestTimeout:    2 * time.Second,
 			BreakerThreshold:  2,
 			BreakerCooloff:    30 * time.Second, // recovery must come from failover

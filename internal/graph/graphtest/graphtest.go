@@ -107,6 +107,13 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	els, _ = b.E(ctx, &graph.Query{IDs: []string{"e1", "e6"}})
 	expect("E(ids)", ids(els), "e1", "e6")
 
+	// A repeated id yields one element per occurrence, for E as for V.
+	els, err = b.E(ctx, &graph.Query{IDs: []string{"e1", "e1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("E(repeated ids)", ids(els), "e1", "e1")
+
 	els, _ = b.VertexEdges(ctx, []string{"p1"}, graph.DirOut, &graph.Query{})
 	expect("outE(p1)", ids(els), "e1")
 	if len(els) != 1 || els[0].OutV != "p1" || els[0].InV != "d11" {
@@ -188,7 +195,15 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	gids("2-hop", src.V("p1").Out("hasDisease").Out("isa"), "d10")
 	gids("getLink", src.V("p1").OutE("hasDisease").Where(gremlin.Anon().InV().HasID("d11")), "e1")
 
-	n, err := src.V("p1").OutE("hasDisease").Count().Next()
+	n, err := src.E("e1", "e1").Count().Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.(types.Value).I != 2 {
+		t.Fatalf("g.E('e1','e1').count() = %v, want 2", n)
+	}
+
+	n, err = src.V("p1").OutE("hasDisease").Count().Next()
 	if err != nil {
 		t.Fatal(err)
 	}

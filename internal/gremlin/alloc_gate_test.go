@@ -25,8 +25,8 @@ const allocGateTolerance = 1.10
 // `make bench-alloc` (set BENCH_ALLOC_GATE=1 to run): it measures the
 // benchmark body under testing.Benchmark and compares allocs/op against the
 // committed baseline. Allocation counts are deterministic enough for a 10%
-// tolerance — a pooling regression (a dropped sync.Pool, a lost slab reuse)
-// shows up as a multiple, not a percentage.
+// tolerance — an allocation regression (a traverser allocated one at a time
+// instead of from a slab) shows up as a multiple, not a percentage.
 func TestBatchedExpandAllocBaseline(t *testing.T) {
 	if os.Getenv("BENCH_ALLOC_GATE") == "" {
 		t.Skip("allocation gate skipped; set BENCH_ALLOC_GATE=1 (make bench-alloc) to run")
@@ -47,7 +47,7 @@ func TestBatchedExpandAllocBaseline(t *testing.T) {
 		}
 		src := NewSource(m).WithParallelism(1)
 		trav := func() *Traversal { return batchedExpand(src) }
-		if _, err := trav().ToList(); err != nil { // warm caches and pools
+		if _, err := trav().ToList(); err != nil { // warm caches
 			b.Fatal(err)
 		}
 		b.ReportAllocs()

@@ -8,9 +8,9 @@ import (
 	"db2graph/internal/graph"
 )
 
-// arenaTestBackend builds a small graph with properties and paths long
-// enough to exercise slab growth, frame pooling, and path copying.
-func arenaTestBackend(t testing.TB, n int) *graph.MemBackend {
+// aliasTestBackend builds a small graph with paths long enough to exercise
+// slab growth across chunks and path copying.
+func aliasTestBackend(t testing.TB, n int) *graph.MemBackend {
 	t.Helper()
 	m := graph.NewMemBackend()
 	for i := 0; i < n; i++ {
@@ -35,9 +35,8 @@ func arenaTestBackend(t testing.TB, n int) *graph.MemBackend {
 	return m
 }
 
-// churn runs a mix of queries whose arenas lease, dirty, and release the
-// same pooled slabs and frame buffers the captured results would still be
-// sitting in if copy-on-emit were broken.
+// churn runs a mix of queries that mint, extend, and discard traversers
+// while earlier results are still held by the caller.
 func churn(t *testing.T, src *Source, rounds int) {
 	t.Helper()
 	scripts := []string{
@@ -53,11 +52,10 @@ func churn(t *testing.T, src *Source, rounds int) {
 	}
 }
 
-// TestPooledAliasing is the reset-on-release / copy-on-emit regression suite
-// (DESIGN.md §15): results captured from one query must survive, bit for
-// bit, any number of later queries that recycle the same pooled slabs.
-func TestPooledAliasing(t *testing.T) {
-	m := arenaTestBackend(t, 600)
+// TestResultsSurviveLaterQueries (DESIGN.md §15): results captured from one
+// query must survive, bit for bit, any number of later queries.
+func TestResultsSurviveLaterQueries(t *testing.T) {
+	m := aliasTestBackend(t, 600)
 	src := NewSource(m).WithParallelism(4)
 
 	trs, err := src.V().Out("link").Path().Execute()
@@ -107,40 +105,11 @@ func TestPooledAliasing(t *testing.T) {
 	}
 }
 
-// TestAliasingDetectsMissingEmitCopy proves the suite above has teeth: with
-// the copy-on-emit escape rule deliberately disabled, the arena release that
-// runs when ExecuteCtx returns visibly destroys the caller's results. If
-// this test ever starts passing results through intact, reset-on-release has
-// silently stopped clearing pooled memory — exactly the regression the suite
-// exists to catch.
-func TestAliasingDetectsMissingEmitCopy(t *testing.T) {
-	debugSkipEmitCopy = true
-	defer func() { debugSkipEmitCopy = false }()
-
-	m := arenaTestBackend(t, 64)
-	trs, err := NewSource(m).V().Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trs) != 64 {
-		t.Fatalf("got %d traversers, want 64", len(trs))
-	}
-	corrupted := 0
-	for _, tr := range trs {
-		if tr == nil || tr.Obj == nil {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("copy-on-emit disabled but results survived arena release: reset-on-release is not clearing pooled memory")
-	}
-}
-
-// TestPooledAliasingConcurrent hammers the pools from many goroutines, each
-// verifying its own results after every query. Run under -race this proves
-// pooled objects never cross live queries.
-func TestPooledAliasingConcurrent(t *testing.T) {
-	m := arenaTestBackend(t, 300)
+// TestResultsSurviveConcurrentQueries runs parallel queries from many
+// goroutines, each verifying its own results after every query. Run under
+// -race this proves traverser slots never cross live queries.
+func TestResultsSurviveConcurrentQueries(t *testing.T) {
+	m := aliasTestBackend(t, 300)
 	src := NewSource(m).WithParallelism(4)
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)

@@ -40,32 +40,6 @@ func benchBackend(b *testing.B, n int) *graph.MemBackend {
 	return m
 }
 
-// BenchmarkTraverserPool measures the arena lease/allocate/release cycle in
-// isolation (DESIGN.md §15). Steady state is allocation-free for batch sizes
-// whose slabs and frame buffers come from the pools; the oversized subtest
-// shows the deliberate fall-through to plain heap allocation.
-func BenchmarkTraverserPool(b *testing.B) {
-	for _, batch := range []int{64, 2048, 3 * frameLargeCap} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := newArena()
-				al := a.local()
-				frame := a.frame(batch)
-				for j := 0; j < batch; j++ {
-					tr := al.get()
-					tr.FromV = "v"
-					frame = append(frame, tr)
-				}
-				if len(frame) != batch {
-					b.Fatal("frame short")
-				}
-				a.release()
-			}
-		})
-	}
-}
-
 // BenchmarkPlanCache measures script execution with a cold parse on every
 // run (miss) vs the compiled-plan cache serving the parsed, strategy-
 // rewritten plan (hit). The difference is the lex+parse+rewrite overhead

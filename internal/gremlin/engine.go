@@ -64,10 +64,9 @@ type execCtx struct {
 	// pool, when non-nil, lends worker goroutines to chunked step
 	// execution (see parallel.go). A nil pool is the serial engine.
 	pool *workerPool
-	// alloc is the goroutine-private traverser allocator over the query's
-	// arena (see arena.go). Shared by execCtx copies on the same goroutine
-	// (serial(), sub-traversals); runChunks replaces it with a fresh local
-	// per chunk goroutine.
+	// alloc is the goroutine-private traverser allocator (see alloc.go).
+	// Shared by execCtx copies on the same goroutine (serial(),
+	// sub-traversals); runChunks gives each chunk goroutine a fresh one.
 	alloc *travAlloc
 }
 
@@ -164,12 +163,6 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	arena := newArena()
-	// Reset-on-release on every exit path (success, error, panic): zero all
-	// leased slabs and frame buffers before they go back to their pools. The
-	// deferred release runs after the return value is computed, i.e. after
-	// emitFrame has copied the final frame out of the arena.
-	defer arena.release()
 	ctx := &execCtx{
 		goctx:       goctx,
 		backend:     t.Src.Backend,
@@ -180,7 +173,7 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 		trackPaths:  plansPaths(steps),
 		limits:      t.Src.Limits.Normalized(),
 		pool:        newWorkerPool(par, t.Src.WorkerGauge),
-		alloc:       arena.local(),
+		alloc:       newTravAlloc(),
 	}
 	var start time.Time
 	if wantProfile || wantExplain || span != nil {
@@ -207,8 +200,7 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 	if wantExplain {
 		return []*Traverser{{Obj: buildExplain(t.Src, steps, ctx.prof, time.Since(start), len(frame))}}, nil
 	}
-	// Copy-on-emit: the caller's frame must not alias arena memory.
-	return emitFrame(frame), nil
+	return frame, nil
 }
 
 // plansPaths reports whether any step (recursively) needs path tracking.
@@ -237,7 +229,7 @@ func plansPaths(steps []Step) bool {
 }
 
 // derive creates a child traverser from a parent with a new object. The
-// slot comes from the chunk-private arena allocator; the path extension is
+// slot comes from the chunk-private bump allocator; the path extension is
 // one exact-size copy (the old double append re-copied the parent path into
 // a growth-sized backing first).
 func (ctx *execCtx) derive(parent *Traverser, obj any) *Traverser {
@@ -677,7 +669,7 @@ func runGraphStep(ctx *execCtx, x *GraphStep, isFirst bool) ([]*Traverser, error
 	if err != nil {
 		return nil, err
 	}
-	out := ctx.newFrame(len(els))
+	out := make([]*Traverser, 0, len(els))
 	for _, el := range els {
 		out = append(out, ctx.derive(nil, el))
 	}
@@ -943,7 +935,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 	}
 
 	if x.ReturnEdges {
-		out := ctx.newFrame(len(hits))
+		out := make([]*Traverser, 0, len(hits))
 		for _, h := range hits {
 			tr := ctx.derive(h.parent, h.edge)
 			tr.FromV = h.fromV
@@ -1000,7 +992,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 		for i := range hits {
 			resolved[i] = byID[want[i]]
 		}
-		out := ctx.newFrame(len(hits))
+		out := make([]*Traverser, 0, len(hits))
 		for i, h := range hits {
 			if resolved[i] == nil {
 				continue // filtered by vq
@@ -1035,7 +1027,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 			resolved[idx[j]] = v
 		}
 	}
-	out := ctx.newFrame(len(hits))
+	out := make([]*Traverser, 0, len(hits))
 	for i, h := range hits {
 		if resolved[i] == nil {
 			continue // filtered by vq
@@ -1118,7 +1110,7 @@ func runEdgeVertexStep(ctx *execCtx, x *EdgeVertexStep, in []*Traverser) ([]*Tra
 				resolved[idx[j]] = v
 			}
 		}
-		out := c.newFrame(len(sub))
+		out := make([]*Traverser, 0, len(sub))
 		for i, w := range sub {
 			if resolved[i] == nil {
 				continue // filtered by q

@@ -130,11 +130,11 @@ func (ctx *execCtx) runChunks(total, nchunks int, fn func(c *execCtx, idx, lo, h
 				cancel()
 			}
 		}()
-		// Each chunk gets a private traverser allocator over the shared
-		// arena: chunk goroutines bump-allocate without contention, and two
-		// chunks can never be handed the same slot (see arena.go).
+		// Each chunk gets a private traverser allocator: chunk goroutines
+		// bump-allocate without contention, and two chunks can never be
+		// handed the same slot (see alloc.go).
 		cctx := child
-		cctx.alloc = child.alloc.arena.local()
+		cctx.alloc = newTravAlloc()
 		if err := fn(&cctx, i, lo, hi); err != nil {
 			errs[i] = err
 			cancel()
@@ -214,7 +214,7 @@ func (ctx *execCtx) mapChunks(total, nchunks int, fn func(c *execCtx, lo, hi int
 	for _, o := range outs {
 		n += len(o)
 	}
-	merged := ctx.newFrame(n)
+	merged := make([]*Traverser, 0, n)
 	for _, o := range outs {
 		merged = append(merged, o...)
 	}

@@ -631,13 +631,7 @@ func (s *Server) publishCacheMetrics() {
 			set(name, st)
 		}
 	}
-	// Memory-discipline counters (DESIGN.md §15): traverser-arena slab pool
-	// effectiveness and cumulative arena-decoded bytes. Pool counters are
-	// process-global (the engine pools are package-level), arena bytes are
-	// per-backend.
-	hits, misses := gremlin.PoolStats()
-	s.reg.Gauge("gremlin_pool_hits").Set(hits)
-	s.reg.Gauge("gremlin_pool_misses").Set(misses)
+	// Cumulative arena-decoded bytes of a janus backend (DESIGN.md §15).
 	if a, ok := s.src.Backend.(graph.ArenaBytesProvider); ok {
 		s.reg.Gauge("janus_arena_bytes").Set(a.ArenaBytes())
 	}
@@ -983,7 +977,7 @@ func (c *Client) setLive(conn net.Conn) {
 // until the exchange drains against its socket deadline). The blocked
 // exchange fails immediately with a transport error and the next call
 // redials. Intended for callers abandoning an exchange whose result they
-// will discard — a hedged request that lost, or a canceled scatter.
+// will discard — a canceled scatter or a request past its deadline.
 func (c *Client) Abort() {
 	c.liveMu.Lock()
 	conn := c.live
