@@ -21,11 +21,13 @@ test:
 
 # cluster-faults runs the sharded-coordinator chaos suite — shard map and
 # partition invariants, breaker lifecycle, retry/health behavior,
-# server drain, and the four-backend RunClusterFaults differential — twice
-# under the race detector to shake out timing-dependent flakes.
+# server drain, the GraphOp wire checks (round trip, malformed count ops
+# and replies, the reply fuzz seeds), and the four-backend
+# RunClusterFaults differential — twice under the race detector to shake
+# out timing-dependent flakes.
 cluster-faults:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip' \
+		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip|GraphOpCount|GraphOpReply' \
 		./internal/cluster/ ./internal/graph/graphtest/clustertest/ \
 		./internal/gserver/ ./internal/core/ ./internal/gdbx/ ./internal/janus/
 

@@ -220,10 +220,14 @@ func partialReportFrom(ctx context.Context) *PartialReport {
 //   - Id-routed reads (VerticesByIDs, EdgesForVertices, V with q.IDs) go
 //     only to the owning shards and are reassembled slot-aligned, which
 //     preserves the caller's order exactly.
-//   - Derived reads (flat VertexEdges, EdgeVertices, aggregates) are
-//     computed locally from the above so their semantics (cross-vertex
-//     dedup, global limits, float accumulation order) never depend on how
-//     many shards answered.
+//   - Incident-edge counts (AggVertexEdges with count, the engine's pushed
+//     out()/in().count()) route to the owning shards like EdgesForVertices
+//     and add up one integer per shard. The owner holds a vertex's whole
+//     adjacency, so every counted edge is counted on exactly one shard.
+//   - Other derived reads (flat VertexEdges, EdgeVertices, the remaining
+//     aggregates) are computed locally from the above so their semantics
+//     (cross-vertex dedup, global limits, float accumulation order) never
+//     depend on how many shards answered.
 //
 // All reads are idempotent, which is what licenses retries.
 type Coordinator struct {
@@ -315,10 +319,12 @@ func (c *Coordinator) absorb(ctx context.Context, errs []error) error {
 }
 
 // reply is one shard's decoded read reply: the aligned elements and, for
-// EdgesForVertices, the per-vertex groups over them.
+// EdgesForVertices, the per-vertex groups over them; for CountVertexEdges,
+// the count alone.
 type reply struct {
 	els    []*graph.Element
 	groups [][]*graph.Element
+	count  int64
 }
 
 // broadcast sends a read op to every shard concurrently. The reply of a
@@ -625,13 +631,28 @@ func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, 
 // ---------------------------------------------------------------------------
 // Aggregates
 //
-// Aggregates are computed locally over the canonically merged scan rather
-// than combined from per-shard partials, for three correctness reasons:
-// per-shard vertex counts would include ghosts, per-shard edge counts would
-// double-count dual-homed edges, and float sums are not bitwise associative
-// (a different shard count would change the accumulation order). Only the
-// projection is narrowed to the aggregated key, so the scan ships the
-// minimum data the aggregate needs.
+// An incident-edge count is answered on the shards: the vertex ids route to
+// their owners, each owner counts with its own backend, and the coordinator
+// adds the counts. That is exact because of the Partition invariant (the
+// owner shard holds a vertex's whole adjacency):
+//
+//   - an out() (in()) edge has exactly one source (destination) vertex, so
+//     it is counted on exactly one shard, the owner of that vertex;
+//   - ghost vertices are never asked, since ids route to owners only, so a
+//     dual-homed edge is counted only by the owner of the endpoint it is
+//     counted from;
+//   - a repeated id routes to one shard, whose own dedup handles it;
+//   - a pushed Limit L composes: min(Σ min(c_s, L), L) = min(Σ c_s, L).
+//
+// both() is exact only when every id routes to one shard: an edge joining
+// ids owned by two shards would be counted on both. A both() count whose
+// ids span shards, and every other aggregate, is computed locally over the
+// canonically merged read instead: per-shard vertex counts would include
+// ghosts, per-shard edge scans would double-count dual-homed edges, and
+// float sums are not bitwise associative (a different shard count would
+// change the accumulation order). Only the projection is narrowed to the
+// aggregated key, so the local read ships the minimum data the aggregate
+// needs.
 
 func pruneForAgg(q *graph.Query, agg graph.Agg) *graph.Query {
 	out := q.Clone()
@@ -663,13 +684,42 @@ func (c *Coordinator) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (
 	return graph.AggregateElements(els, agg)
 }
 
-// AggVertexEdges implements graph.Backend.
+// AggVertexEdges implements graph.Backend. A count is answered by the
+// owner shards (see Aggregates above) unless it is a both() count whose ids
+// span shards.
 func (c *Coordinator) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
+	if agg.Kind == graph.AggCount {
+		if routes := c.routeIDs(vids); dir != graph.DirBoth || len(routes) <= 1 {
+			return c.countVertexEdges(ctx, routes, dir, q)
+		}
+	}
 	els, err := c.VertexEdges(ctx, vids, dir, pruneForAgg(q, agg))
 	if err != nil {
 		return types.Null, err
 	}
 	return graph.AggregateElements(els, agg)
+}
+
+// countVertexEdges adds up the owner shards' incident-edge counts, then
+// applies the pushed limit. A shard skipped in degraded mode contributes 0.
+func (c *Coordinator) countVertexEdges(ctx context.Context, routes map[int]*route, dir graph.Direction, q *graph.Query) (types.Value, error) {
+	if err := graph.Interrupted(ctx); err != nil {
+		return types.Null, err
+	}
+	replies, err := c.scatterRouted(ctx, routes, func(r *route) gserver.GraphOp {
+		return gserver.GraphOp{Method: gserver.OpCountVertexEdges, IDs: r.ids, Dir: dir, Query: q}
+	})
+	if err != nil {
+		return types.Null, err
+	}
+	var n int64
+	for _, rep := range replies {
+		n += rep.count
+	}
+	if q != nil && q.Limit > 0 {
+		n = min(n, int64(q.Limit))
+	}
+	return types.NewInt(n), nil
 }
 
 func sortByID(els []*graph.Element) {
@@ -961,13 +1011,20 @@ func (s *shard) do(ctx context.Context, op gserver.GraphOp) (reply, error) {
 	return reply{}, &ShardError{Shard: s.idx, Addr: s.addr, Err: lastErr}
 }
 
-// decode extracts the element batch of a read reply from this shard.
-func (s *shard) decode(resp gserver.Response) (reply, error) {
-	els, groups, err := resp.ElementBatch()
+// decode extracts the payload of this shard's reply to a read op: the count
+// of a CountVertexEdges reply, the element batch of any other.
+func (s *shard) decode(op gserver.GraphOp, resp gserver.Response) (reply, error) {
+	var rep reply
+	var err error
+	if op.Method == gserver.OpCountVertexEdges {
+		rep.count, err = resp.EdgeCount()
+	} else {
+		rep.els, rep.groups, err = resp.ElementBatch()
+	}
 	if err != nil {
 		return reply{}, fmt.Errorf("cluster: shard %d: %w", s.idx, err)
 	}
-	return reply{els: els, groups: groups}, nil
+	return rep, nil
 }
 
 // attempt performs one exchange. It runs on its own goroutine so the
@@ -994,10 +1051,10 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (reply, error) 
 			start := time.Now()
 			var resp gserver.Response
 			resp, err = cl.GraphOpCtx(ctx, op)
-			// Decoding the element batch is part of the exchange, as
+			// Decoding the reply payload is part of the exchange, as
 			// decoding the JSON frame around it is.
 			if err == nil {
-				rep, err = s.decode(resp)
+				rep, err = s.decode(op, resp)
 			}
 			if err == nil {
 				s.latency.Observe(time.Since(start))
@@ -1074,11 +1131,6 @@ func (s *shard) probe() bool {
 	return true
 }
 
-// availabilityFailure classifies an error from one exchange: true means
-// "the shard did not give an answer" (dial/transport failure, overload
-// fast-fail, caller-side socket timeout) — retryable and breaker-relevant.
-// False means the shard answered with a typed execution failure, or the
-// caller's own context ended.
 // callerContextErr reports whether err is the caller's own context ending
 // (cancellation or deadline). Such errors carry no information about the
 // shard: not an availability failure, but not proof of liveness either.
@@ -1086,6 +1138,11 @@ func callerContextErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
+// availabilityFailure classifies an error from one exchange: true means
+// "the shard did not give an answer" (dial/transport failure, overload
+// fast-fail, caller-side socket timeout) — retryable and breaker-relevant.
+// False means the shard answered with a typed execution failure, or the
+// caller's own context ended.
 func availabilityFailure(err error) bool {
 	switch {
 	case callerContextErr(err):

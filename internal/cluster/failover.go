@@ -200,7 +200,7 @@ func (s *shard) tryReplicaRead(ctx context.Context, op gserver.GraphOp) (reply, 
 		rcl.close()
 		return reply{}, false
 	}
-	rep, err := s.decode(resp)
+	rep, err := s.decode(op, resp)
 	if err != nil {
 		return reply{}, false
 	}

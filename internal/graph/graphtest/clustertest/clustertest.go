@@ -6,8 +6,9 @@
 //     BIT-IDENTICAL between a 1-shard deployment (the single-node golden)
 //     and 2- and 3-shard deployments — same objects, same order. Sharding
 //     is pure deployment topology; any observable difference is a bug.
-//     Pushed counts over duplicated frontiers are also checked against the
-//     raw backend's unoptimized plan (graphtest.CheckDupFrontierCounts).
+//     Pushed counts, which the coordinator answers with per-owner shard
+//     counts, are also checked against the raw backend's unoptimized plan
+//     (graphtest.CheckDupFrontierCounts) and its own AggVertexEdges.
 //  2. Fault semantics: under injected network faults (delays, drops,
 //     resets, partitions, via the chaos listener wrapper) every query
 //     either returns the golden answer or a typed error
@@ -38,13 +39,15 @@ import (
 	"db2graph/internal/graph/graphtest"
 	"db2graph/internal/gremlin"
 	"db2graph/internal/gserver"
+	"db2graph/internal/sql/types"
 	"db2graph/internal/telemetry"
 )
 
-// battery is the shared differential script battery: the sharded
-// coordinator is held to the exact same scripts as the cached/vectorized
-// read paths.
-var battery = graphtest.DifferentialScripts()
+// battery is the shared differential script battery plus the pushed-count
+// scripts: the sharded coordinator is held to the exact same scripts as the
+// cached/vectorized read paths, and its shard-side counts to the
+// single-node count.
+var battery = append(graphtest.DifferentialScripts(), graphtest.PushedCountScripts()...)
 
 // clusterHarness is one live sharded deployment: N backends behind N
 // gservers, each wrapped in a chaos listener, fronted by one coordinator.
@@ -139,6 +142,66 @@ func typedAvailabilityError(err error) bool {
 		errors.Is(err, gserver.ErrTimeout) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled)
+}
+
+// checkEdgeCounts holds the coordinator's incident-edge counts to the raw
+// backend's own AggVertexEdges: out()/in() and single-shard both() counts
+// answered by the owner shards, and both() counts whose ids span shards,
+// answered locally. The id sets cross shards and repeat or miss ids; the
+// queries filter by label, edge id and edge property, and push a limit.
+func checkEdgeCounts(t *testing.T, coord *cluster.Coordinator, raw graph.Backend, vertices, edges []*graph.Element) {
+	t.Helper()
+	ctx := context.Background()
+	var all, owned []string
+	for _, v := range vertices {
+		all = append(all, v.ID)
+		if coord.ShardOf(v.ID) == coord.ShardOf(vertices[0].ID) {
+			owned = append(owned, v.ID)
+		}
+	}
+	idSets := [][]string{all, owned, {"d11"}, append([]string{"nope", "p1", "p1"}, all...)}
+	for _, e := range edges {
+		if coord.ShardOf(e.OutV) != coord.ShardOf(e.InV) {
+			idSets = append(idSets, []string{e.OutV, e.InV})
+			break
+		}
+	}
+	queries := []*graph.Query{
+		nil,
+		{Labels: []string{"isa"}},
+		{IDs: []string{"e4", "e5", "e5"}},
+		{Preds: []graph.Pred{{Key: "description", Op: graph.OpGt, Value: types.NewString("2018")}}},
+		{Limit: 1},
+		{Limit: 2},
+		{Labels: []string{"hasDisease"}, Limit: 2},
+	}
+	count := graph.Agg{Kind: graph.AggCount}
+	for _, ids := range idSets {
+		for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn, graph.DirBoth} {
+			for _, q := range queries {
+				// A limit caps the counted edges: the oracle is the raw
+				// backend's unlimited count, capped. (core ignores a pushed
+				// limit in its counts; the planner never pushes one.)
+				unlimited := q.Clone()
+				unlimited.Limit = 0
+				want, err := raw.AggVertexEdges(ctx, ids, dir, unlimited, count)
+				if err != nil {
+					t.Fatalf("raw AggVertexEdges: %v", err)
+				}
+				if n, _ := want.Int(); q != nil && q.Limit > 0 && n > int64(q.Limit) {
+					want = types.NewInt(int64(q.Limit))
+				}
+				got, err := coord.AggVertexEdges(ctx, ids, dir, q, count)
+				if err != nil {
+					t.Fatalf("shards=%d AggVertexEdges(%v, %s, %+v): %v", coord.Shards(), ids, dir, q, err)
+				}
+				if got != want {
+					t.Fatalf("shards=%d AggVertexEdges(%v, %s, %+v) = %v, raw backend says %v",
+						coord.Shards(), ids, dir, q, got, want)
+				}
+			}
+		}
+	}
 }
 
 func sortedIDs(els []*graph.Element) string {
@@ -241,10 +304,10 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if g, w := sortedIDs(cadj), sortedIDs(rawAdj); g != w {
 				t.Fatalf("shards=%d adjacency diverged from raw backend\n got: %s\nwant: %s", n, g, w)
 			}
-			// Pushed counts over duplicated frontiers, which the battery's
-			// single-node golden shares, against the raw backend's
-			// unoptimized plan.
+			// Pushed counts, which the battery's single-node golden shares,
+			// against the raw backend's unoptimized plan and its own counts.
 			graphtest.CheckDupFrontierCounts(t, gremlin.NewSource(rawB).WithoutStrategies(), h.src)
+			checkEdgeCounts(t, h.coord, rawB, rawV, rawE)
 			// A repeated edge id yields one edge per occurrence, also for an
 			// edge dual-homed on two shards, whose copies collapse first.
 			eid := rawE[0].ID
@@ -277,6 +340,25 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 		return ""
 	}
 	const probeScript = `g.V('p1').out('hasDisease').out('isa')`
+	// countScript is a pushed count whose ids span the shards, the owner of
+	// p1 among them.
+	const countScript = `g.V('p1', 'd11', 'd13', 'd10').outE('isa').count()`
+	// checkScript runs script under qctx. It must return its golden answer
+	// or, unless mustAnswer, a typed availability error.
+	checkScript := func(t *testing.T, h *clusterHarness, qctx context.Context, script string, mustAnswer bool) {
+		t.Helper()
+		res, err := gremlin.RunScriptCtx(qctx, h.src, script, nil)
+		switch {
+		case err == nil:
+			if got := graphtest.RenderObjs(res); got != goldenOf(script) {
+				t.Fatalf("%q diverged\n got: %s\nwant: %s", script, got, goldenOf(script))
+			}
+		case mustAnswer:
+			t.Fatalf("%q: %v", script, err)
+		case !typedAvailabilityError(err):
+			t.Fatalf("%q: untyped error: %v", script, err)
+		}
+	}
 
 	// Phase 3: fault schedule against a 3-shard deployment. No background
 	// health checker here — retries and breaker transitions must be driven
@@ -302,6 +384,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if got := graphtest.RenderObjs(res); got != goldenOf(probeScript) {
 				t.Fatalf("delayed query diverged\n got: %s\nwant: %s", got, goldenOf(probeScript))
 			}
+			checkScript(t, h, ctx, countScript, true)
 		})
 
 		t.Run("big-delay-typed-timeout", func(t *testing.T) {
@@ -320,6 +403,9 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if el := time.Since(start); el > 1500*time.Millisecond {
 				t.Fatalf("deadline not respected: took %v", el)
 			}
+			cctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+			defer cancel()
+			checkScript(t, h, cctx, countScript, false)
 		})
 
 		t.Run("drop-typed-then-recover", func(t *testing.T) {
@@ -333,6 +419,9 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if !typedAvailabilityError(err) {
 				t.Fatalf("untyped error under drop: %v", err)
 			}
+			cctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+			checkScript(t, h, cctx, countScript, false)
+			cancel()
 			h.heal()
 			res, err := gremlin.RunScript(h.src, probeScript, nil)
 			if err != nil {
@@ -341,6 +430,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if got := graphtest.RenderObjs(res); got != goldenOf(probeScript) {
 				t.Fatalf("post-drop query diverged\n got: %s\nwant: %s", got, goldenOf(probeScript))
 			}
+			checkScript(t, h, ctx, countScript, true)
 		})
 
 		t.Run("transient-reset-retried", func(t *testing.T) {
@@ -358,6 +448,8 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if after <= before {
 				t.Fatalf("transient reset did not exercise the retry path (retries %d -> %d)", before, after)
 			}
+			chaos.ResetNext(2)
+			checkScript(t, h, ctx, countScript, true)
 		})
 
 		t.Run("partition-opens-breaker", func(t *testing.T) {
@@ -395,6 +487,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			if el := time.Since(start); el > time.Second {
 				t.Fatalf("open breaker did not fast-fail: %v", el)
 			}
+			checkScript(t, h, ctx, countScript, false)
 			// Heal; after the cooloff one half-open probe closes the
 			// breaker and answers turn golden again.
 			h.heal()
@@ -406,6 +499,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 					if got := graphtest.RenderObjs(res); got != goldenOf(probeScript) {
 						t.Fatalf("post-recovery query diverged\n got: %s\nwant: %s", got, goldenOf(probeScript))
 					}
+					checkScript(t, h, ctx, countScript, true)
 					break
 				}
 				if time.Now().After(deadline) {
@@ -503,6 +597,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 		if _, err := h.coord.V(ctx, &graph.Query{}); !errors.Is(err, cluster.ErrShardUnavailable) {
 			t.Fatalf("want ErrShardUnavailable during partition, got %v", err)
 		}
+		checkScript(t, h, ctx, countScript, false)
 		h.heal()
 		waitFor(t, 5*time.Second, "breaker closed via health probes", func() bool {
 			return breakerState.Value() == cluster.BreakerClosed
@@ -514,6 +609,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 		if got := graphtest.RenderObjs(res); got != goldenOf(probeScript) {
 			t.Fatalf("post-recovery query diverged\n got: %s\nwant: %s", got, goldenOf(probeScript))
 		}
+		checkScript(t, h, ctx, countScript, true)
 		h.close()
 	})
 
@@ -536,6 +632,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 		if el := time.Since(start); el < delay {
 			t.Fatalf("query took %v, under the %v injected delay: the fault never hit the shard", el, delay)
 		}
+		checkScript(t, h, ctx, countScript, true)
 		h.heal()
 		h.close()
 	})
@@ -587,6 +684,32 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 		}
 		if len(els) != 1 || els[0] != nil {
 			t.Fatalf("degraded point read to dead shard returned %v, want one nil slot", els)
+		}
+		// A pushed count over every vertex counts exactly the out-edges the
+		// live shards own, and names the dead shard once. The dead shard
+		// now resets connections, so its failure comes without waiting
+		// out the request timeout.
+		h.chaos[target].SetReset(true)
+		ids := make([]string, len(rawV))
+		for i, v := range rawV {
+			ids[i] = "'" + v.ID + "'"
+		}
+		liveOut := 0
+		for _, e := range rawE {
+			if h.coord.ShardOf(e.OutV) != target {
+				liveOut++
+			}
+		}
+		cctx, creport := cluster.WithPartialReport(ctx)
+		res, err := gremlin.RunScriptCtx(cctx, h.src, "g.V("+strings.Join(ids, ", ")+").outE().count()", nil)
+		if err != nil {
+			t.Fatalf("degraded pushed count: %v", err)
+		}
+		if got := graphtest.RenderObjs(res); got != fmt.Sprint(liveOut) {
+			t.Fatalf("degraded pushed count = %s, want the live shards' %d", got, liveOut)
+		}
+		if fails := creport.Failures(); len(fails) != 1 || fails[0].Shard != target {
+			t.Fatalf("degraded pushed count PartialReport = %+v, want shard %d once", fails, target)
 		}
 		h.heal()
 		h.close()

@@ -7,14 +7,23 @@ import (
 	"db2graph/internal/gremlin"
 )
 
-// dupFrontierCountScripts end in a count() that the planner fuses into a
-// vertex step whose incoming frontier (except in the unique-frontier
-// control `g.V('p1', 'p2', 'p3')...`) repeats vertices, so the engine
-// answers it with one pushed AggVertexEdges per traverser multiplicity.
+// pushedCountScripts end in a count() that the planner fuses into a vertex
+// step, so the engine answers it with pushed AggVertexEdges calls.
+//
+// The first scripts' incoming frontiers (except in the unique-frontier
+// control `g.V('p1', 'p2', 'p3')...`) repeat vertices, so the engine issues
+// one call per traverser multiplicity. A repeated seed id (g.V('p1', 'p1'))
+// is one traverser per occurrence on every backend (graph.Backend.V).
+//
+// The rest count over unique frontiers whose edges cross shards once the
+// dataset is partitioned, which a sharded count must count exactly once: a
+// labelled count from several seeds, edge-property predicates, a
+// single-vertex both() (pushed), a multi-vertex both() (materialized), and
+// a seed id that does not exist.
+//
 // The differential golden cannot check these: it runs the same pushed
-// path. A repeated seed id (g.V('p1', 'p1')) is one traverser per
-// occurrence on every backend (graph.Backend.V).
-var dupFrontierCountScripts = []string{
+// path.
+var pushedCountScripts = []string{
 	`g.V().out().in().count()`,
 	`g.V('p1', 'p2', 'p3').out().out().count()`,
 	`g.V().both().out().count()`,
@@ -24,10 +33,25 @@ var dupFrontierCountScripts = []string{
 	`g.V('p1', 'p1').out().count()`,
 	`g.V('p1', 'p1').out().out().count()`,
 	`g.V('p1', 'p1').count()`,
+	`g.V().in().in().count()`,
+	`g.V('p1', 'd11', 'd13', 'd10').outE('isa').count()`,
+	`g.V().outE().has('description', '2019').count()`,
+	`g.V('p1', 'p2', 'p3').outE().has('description', gt('2018')).count()`,
+	`g.V('d11').both().count()`,
+	`g.V('d10', 'd11').both().count()`,
+	`g.V('nope', 'p1').outE().count()`,
+	`g.V('p1').out('hasDisease').out('isa').count()`,
 }
 
-// RunDupFrontierCounts checks the pushed counts over duplicated frontiers
-// on a backend built by build against the same backend's unoptimized plan,
+// PushedCountScripts returns a copy of the pushed-count scripts for suites
+// outside this package (graphtest/clustertest runs them bit-identically at
+// every shard count).
+func PushedCountScripts() []string {
+	return append([]string(nil), pushedCountScripts...)
+}
+
+// RunDupFrontierCounts checks the pushed counts (over duplicated frontiers
+// and over unique ones) on a backend built by build against the same backend's unoptimized plan,
 // which materializes the last hop and counts traversers.
 func RunDupFrontierCounts(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backend, error)) {
 	t.Helper()
@@ -39,12 +63,12 @@ func RunDupFrontierCounts(t *testing.T, build func(vertices, edges []*graph.Elem
 	CheckDupFrontierCounts(t, gremlin.NewSource(b).WithoutStrategies(), gremlin.NewSource(b))
 }
 
-// CheckDupFrontierCounts runs the duplicated-frontier count scripts on src,
+// CheckDupFrontierCounts runs the pushed-count scripts on src,
 // serially and in parallel, and fails on any answer that differs from
 // golden's.
 func CheckDupFrontierCounts(t *testing.T, golden, src *gremlin.Source) {
 	t.Helper()
-	for _, script := range dupFrontierCountScripts {
+	for _, script := range pushedCountScripts {
 		res, err := gremlin.RunScript(golden, script, nil)
 		if err != nil {
 			t.Fatalf("golden %q: %v", script, err)

@@ -30,11 +30,12 @@ var specialFloats = map[string]types.Value{
 	"nzero": types.NewFloat(math.Copysign(0, -1)),
 }
 
-// TestGraphOpRoundTrip proves the four remote read methods return exactly
-// what the local backend returns, decoded through the one
+// TestGraphOpRoundTrip proves the remote read methods return exactly what
+// the local backend returns. The four element reads decode through the one
 // Response.ElementBatch decoder: elements, alignment, nil slots, nil and
 // empty groups, propless elements, a dual-homed edge with its ghost
-// endpoint, and float properties JSON cannot carry, all bit-exact.
+// endpoint, and float properties JSON cannot carry, all bit-exact. The
+// count equals the backend's own AggVertexEdges count.
 func TestGraphOpRoundTrip(t *testing.T) {
 	m := graph.NewMemBackend()
 	vs, es := graphtest.Dataset()
@@ -158,6 +159,44 @@ func TestGraphOpRoundTrip(t *testing.T) {
 		}
 		if len(groups[1]) != 0 || len(groups[4]) != 1 {
 			t.Fatalf("empty or dual-homed group wrong: %s / %s", graphtest.RenderBits(groups[1]), graphtest.RenderBits(groups[4]))
+		}
+	})
+
+	t.Run("CountVertexEdges", func(t *testing.T) {
+		// "nope" does not exist, "p2" repeats, and "remote9" is the ghost
+		// endpoint of the dual-homed edge.
+		vids := []string{"p1", "p2", "nope", "f1", "bare", "remote9", "p2", "d10", "d11"}
+		for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn, graph.DirBoth} {
+			for _, q := range []*graph.Query{
+				nil,
+				{Labels: []string{"isa"}},
+				{Preds: []graph.Pred{{Key: "description", Op: graph.OpEq, Value: types.NewString("2019")}}},
+				{Limit: 2},
+			} {
+				want, err := m.AggVertexEdges(ctx, vids, dir, q, graph.Agg{Kind: graph.AggCount})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := c.GraphOp(GraphOp{Method: OpCountVertexEdges, IDs: vids, Dir: dir, Query: q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := resp.EdgeCount()
+				if err != nil {
+					t.Fatalf("%s %+v: %v", dir, q, err)
+				}
+				if w, _ := want.Int(); got != w {
+					t.Fatalf("remote %s count %+v = %d, backend says %d", dir, q, got, w)
+				}
+			}
+		}
+		// A zero count survives omitempty as a count, not as no reply.
+		resp, err := c.GraphOp(GraphOp{Method: OpCountVertexEdges, IDs: []string{"nope"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := resp.EdgeCount(); err != nil || n != 0 {
+			t.Fatalf("count of a missing vertex = %d, %v; want 0", n, err)
 		}
 	})
 

@@ -3,12 +3,13 @@
 // executes one graph.Backend / graph.BatchBackend read directly against the
 // server's backend, under the same lifecycle as a query (admission control,
 // deadline, panic isolation). The cluster coordinator speaks this protocol
-// to scatter batched lookups to shard servers. Every read reply carries its
-// elements in one shape: a binary graphenc.ColumnBatch in Response.Columns
-// that round-trips graph.Element bit-exactly (NaN and signed-zero floats
-// included), minus the provider-opaque Ref field, which is an optimization
-// hint, not data. WireElement is the JSON element shape of mutation and
-// replication payloads only.
+// to scatter batched lookups to shard servers. An element read reply
+// carries its elements in one shape: a binary graphenc.ColumnBatch in
+// Response.Columns that round-trips graph.Element bit-exactly (NaN and
+// signed-zero floats included), minus the provider-opaque Ref field, which
+// is an optimization hint, not data. A CountVertexEdges reply carries one
+// integer in Response.Count instead. WireElement is the JSON element shape
+// of mutation and replication payloads only.
 package gserver
 
 import (
@@ -21,14 +22,18 @@ import (
 )
 
 // Graph-operation method names. Only set-oriented idempotent reads are
-// exposed: scans plus the two BatchBackend multi-gets. Everything else a
-// distributed executor needs (flat VertexEdges, EdgeVertices, aggregates)
-// is derivable from these four on the coordinator side.
+// exposed: scans, the two BatchBackend multi-gets, and the incident-edge
+// count. The coordinator derives flat VertexEdges, EdgeVertices and the
+// remaining aggregates from the first four. CountVertexEdges answers
+// out()/in() counts on the shards that own the counted vertices: the owner
+// holds a vertex's whole adjacency, so per-owner counts add up exactly (see
+// cluster.Coordinator.AggVertexEdges).
 const (
 	OpV                = "V"
 	OpE                = "E"
 	OpVerticesByIDs    = "VerticesByIDs"
 	OpEdgesForVertices = "EdgesForVertices"
+	OpCountVertexEdges = "CountVertexEdges"
 )
 
 // Mutation method names. Unlike the reads above these are NOT idempotent and
@@ -48,9 +53,10 @@ const (
 type GraphOp struct {
 	// Method is one of the Op* constants.
 	Method string `json:"method"`
-	// IDs are the vertex ids for VerticesByIDs/EdgesForVertices.
+	// IDs are the vertex ids for VerticesByIDs, EdgesForVertices and
+	// CountVertexEdges.
 	IDs []string `json:"ids,omitempty"`
-	// Dir orients EdgesForVertices.
+	// Dir orients EdgesForVertices and CountVertexEdges.
 	Dir graph.Direction `json:"dir,omitempty"`
 	// Query is the pushdown filter, applied with the semantics of the
 	// named Backend method.
@@ -138,11 +144,31 @@ func (s *Server) graphOpResponse(ctx context.Context, op *GraphOp) Response {
 			return errorResponse(err)
 		}
 		return Response{reply: &elementReply{groups: groups, grouped: true}}
+	case OpCountVertexEdges:
+		return s.countResponse(ctx, op)
 	case OpAddVertex, OpAddEdge:
 		return s.applyMutation(ctx, op)
 	default:
 		return Response{Code: CodeBadRequest, Error: fmt.Sprintf("unknown graph op %q", op.Method)}
 	}
+}
+
+// countResponse answers CountVertexEdges with the backend's own pushed
+// count, so a shard counts exactly as a single node would.
+func (s *Server) countResponse(ctx context.Context, op *GraphOp) Response {
+	switch op.Dir {
+	case graph.DirOut, graph.DirIn, graph.DirBoth:
+	default:
+		return Response{Code: CodeBadRequest, Error: fmt.Sprintf("graph op %s: bad direction %d", op.Method, op.Dir)}
+	}
+	v, err := s.batch.AggVertexEdges(ctx, op.IDs, op.Dir, op.Query, graph.Agg{Kind: graph.AggCount})
+	if err != nil {
+		return errorResponse(err)
+	}
+	if v.Kind != types.KindInt {
+		return Response{Code: CodeInternal, Error: fmt.Sprintf("graph op %s: backend count is %v, want an integer", op.Method, v)}
+	}
+	return Response{Count: &v.I}
 }
 
 // elementReply is a read op's result awaiting serialization into
@@ -172,12 +198,30 @@ func (r *Response) ElementBatch() (els []*graph.Element, groups [][]*graph.Eleme
 	if len(r.Columns) == 0 {
 		return nil, nil, fmt.Errorf("gserver: response carries no element batch")
 	}
+	if r.Count != nil {
+		return nil, nil, fmt.Errorf("gserver: element reply also carries a count")
+	}
 	cb, err := graphenc.DecodeColumns(r.Columns)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gserver: bad element batch: %w", err)
 	}
 	els, groups = graph.ElementsFromColumns(cb)
 	return els, groups, nil
+}
+
+// EdgeCount decodes the Count of a CountVertexEdges reply. A reply without
+// a count, with an element batch beside it, or with a negative count is
+// malformed: it is an error, never a silent 0.
+func (r *Response) EdgeCount() (int64, error) {
+	switch {
+	case r.Count == nil:
+		return 0, fmt.Errorf("gserver: response carries no count")
+	case len(r.Columns) != 0:
+		return 0, fmt.Errorf("gserver: count reply also carries an element batch")
+	case *r.Count < 0:
+		return 0, fmt.Errorf("gserver: negative count %d", *r.Count)
+	}
+	return *r.Count, nil
 }
 
 // GraphOp is GraphOpCtx without a caller context.
@@ -187,8 +231,9 @@ func (c *Client) GraphOp(op GraphOp) (Response, error) {
 
 // GraphOpCtx performs one remote backend operation under the client's full
 // deadline/retry policy and returns the raw Response (a read's elements are
-// decoded with Response.ElementBatch). Server-side failures
-// carry their typed sentinel for errors.Is, exactly like SubmitCtx.
+// decoded with Response.ElementBatch, a count with Response.EdgeCount).
+// Server-side failures carry their typed sentinel for errors.Is, exactly
+// like SubmitCtx.
 func (c *Client) GraphOpCtx(ctx context.Context, op GraphOp) (Response, error) {
 	return c.do(ctx, Request{GraphOp: &op})
 }

@@ -152,7 +152,7 @@ type Response struct {
 	// with "statements" (per-statement step profiles) and "ops"
 	// (backend/SQL operation totals).
 	Profile any `json:"profile,omitempty"`
-	// Columns answers every GraphOp read (V, E, VerticesByIDs,
+	// Columns answers the GraphOp element reads (V, E, VerticesByIDs,
 	// EdgesForVertices) with one binary element batch
 	// (graphenc.ColumnBatch bytes, base64 in JSON): property keys shared
 	// across the batch are named once instead of once per element, and
@@ -160,6 +160,10 @@ type Response struct {
 	// with Response.ElementBatch. Gremlin script Results stay JSON and so
 	// cannot carry a NaN or ±Inf value.
 	Columns []byte `json:"columns,omitempty"`
+	// Count answers CountVertexEdges with one integer instead of the
+	// counted edges. It is a pointer so that a count of 0 survives
+	// omitempty. Decode with Response.EdgeCount.
+	Count *int64 `json:"count,omitempty"`
 	// reply is a read op's result until writeResponse encodes it into
 	// Columns: element serialization belongs to the frame encoding, which
 	// runs after the request's timed execution.
