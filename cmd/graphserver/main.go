@@ -88,14 +88,10 @@ func main() {
 			"goroutines per query for parallel traversal execution (0 = GOMAXPROCS, 1 = serial)")
 		planCacheSize = flag.Int("plan-cache-size", 0,
 			"compiled-plan cache capacity in plans (0 = default 256)")
-		batchSize = flag.Int("batch-size", 0,
-			"cap on ids per batched backend lookup (0 = one lookup per engine chunk)")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second,
 			"how long shutdown waits for in-flight queries before canceling them")
 		slowQuery = flag.Duration("slow-query-threshold", 0,
 			"log queries taking at least this long to stderr (0 disables)")
-		analyze = flag.Bool("analyze", true,
-			"collect catalog statistics at startup so queries plan with the cost model; clients refresh with the \"!analyze\" control request")
 
 		shardIndex = flag.Int("shard-index", -1,
 			"serve only this hash partition of the source graph (requires -shard-count)")
@@ -280,24 +276,22 @@ func main() {
 		MaxTraversers:  *maxTraversers,
 		MaxRepeatIters: *maxRepeat,
 		MaxResults:     *maxResults,
-	}).WithParallelism(*parallelism).WithBatchSize(*batchSize)
+	}).WithParallelism(*parallelism)
 	// The server default-enables a plan cache; the flag only sizes it.
 	if *planCacheSize > 0 {
 		src = src.WithPlanCache(gremlin.NewPlanCache(*planCacheSize))
 	}
-	// Catalog statistics drive the cost-based planner and the "!explain"
-	// control request; the provider always exists so "!analyze" works, and
-	// -analyze only controls the startup collection.
+	// Catalog statistics feed the cost model's explain() estimates. They
+	// are collected once at startup; clients refresh them with the
+	// "!analyze" control request.
 	sp := graph.NewStatsProvider(src.Backend)
 	src = src.WithStats(sp)
-	if *analyze {
-		st, err := sp.Analyze(context.Background())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("analyzed: %d vertices, %d edges, %d vertex labels, %d edge labels\n",
-			st.VertexCount, st.EdgeCount, len(st.VertexLabels), len(st.EdgeLabels))
+	st, err := sp.Analyze(context.Background())
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Printf("analyzed: %d vertices, %d edges, %d vertex labels, %d edge labels\n",
+		st.VertexCount, st.EdgeCount, len(st.VertexLabels), len(st.EdgeLabels))
 	gcfg := gserver.Config{
 		QueryTimeout:       *queryTimeout,
 		MaxRequestBytes:    *maxRequestBytes,

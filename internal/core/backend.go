@@ -110,9 +110,8 @@ func (g *Graph) eligibleVertexMappings(q *graph.Query) []*overlay.VertexMapping 
 // a projection narrows which properties are fetched but never which elements
 // match (Query.Projection contract), so a table lacking a projected column
 // still contributes its rows, just without that property. (Pruning on
-// projections made VerticesByIDs drop such vertices while the table-pinned
-// EdgeVertices path kept them — caught by the planner differential when the
-// scanresolve path switched endpoint resolution between the two.)
+// projections would make VerticesByIDs drop such vertices while the
+// table-pinned EdgeVertices path keeps them.)
 func pushedPropertyNames(q *graph.Query) []string {
 	var out []string
 	for _, p := range q.Preds {
@@ -747,6 +746,10 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 				out = append(out, el)
 			}
 		}
+		// A pushed limit caps the whole set, not each table's share.
+		if q.Limit > 0 && len(out) >= q.Limit {
+			return out[:q.Limit], nil
+		}
 	}
 	return out, nil
 }
@@ -1215,7 +1218,8 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 // SELECT COUNT(*) FROM EdgeTable WHERE src_v IN (...) AND ... in one round
 // trip per eligible table. An unrestricted count first takes every vertex
 // whose adjacency group is cached (countFromCache) and sends only the
-// rest to SQL.
+// rest to SQL. A pushed limit caps the whole edge set, which per-table SQL
+// aggregates cannot express, so a limited aggregate is materialized.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return types.Null, err
@@ -1226,6 +1230,13 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 	sel, ok := aggSelect(agg)
 	if !ok {
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
+	}
+	if q.Limit > 0 {
+		els, err := g.VertexEdges(ctx, vids, dir, q)
+		if err != nil {
+			return types.Null, err
+		}
+		return graph.AggregateElements(els, agg)
 	}
 	comb := newAggCombiner(agg)
 	all := vids

@@ -210,11 +210,12 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 // counts in SQL. A group equals the vertex's VertexEdges result, so its
 // length is the vertex's share of the count. Each distinct vertex counts
 // once, as the SQL IN list does. Only a count the cached groups answer
-// qualifies — unrestricted (cacheableQuery), without ids or a limit, on one
-// direction (both() can meet a self-loop twice); any other query gets all
-// of vids back.
+// qualifies — unrestricted (cacheableQuery), without ids, on one direction
+// (both() can meet a self-loop twice); any other query gets all of vids
+// back. The caller has already sent limited counts down the materialized
+// path.
 func (g *Graph) countFromCache(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
-	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && (len(q.IDs) > 0 || q.Limit > 0)) {
+	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && len(q.IDs) > 0) {
 		return vids, 0
 	}
 	version := g.DataVersion()

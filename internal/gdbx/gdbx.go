@@ -880,75 +880,6 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 	return graph.AggregateElements(els, agg)
 }
 
-// AnalyzeStats implements graph.Analyzer. Label cardinalities come straight
-// off the indexes; degree statistics decode each page directly, without
-// inserting into the LRU cache — a full ANALYZE scan must not evict the hot
-// working set (already-resident vertices are reused, cold pages are decoded
-// and dropped).
-func (g *Graph) AnalyzeStats(ctx context.Context) (*graph.Stats, error) {
-	if err := graph.Interrupted(ctx); err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.requireSealed(); err != nil {
-		return nil, err
-	}
-	st := &graph.Stats{
-		DataVersion:  g.version.Load(),
-		VertexCount:  int64(len(g.pages)),
-		EdgeCount:    g.edgeCount,
-		VertexLabels: make(map[string]int64, len(g.labelIdx)),
-		EdgeLabels:   make(map[string]graph.EdgeLabelStats, len(g.edgeLabelIdx)),
-	}
-	for label, ids := range g.labelIdx {
-		st.VertexLabels[label] = int64(len(ids))
-	}
-	type labelDeg struct{ out, in map[string]int64 }
-	perLabel := map[string]*labelDeg{}
-	for i, id := range g.order {
-		if err := graph.ScanTick(ctx, i); err != nil {
-			return nil, err
-		}
-		var v *nativeVertex
-		if node, ok := g.cache[id]; ok {
-			v = node.v
-		} else {
-			var err error
-			v, err = decodeNative(id, g.pages[id])
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, rec := range v.out {
-			ld := perLabel[rec.label]
-			if ld == nil {
-				ld = &labelDeg{out: map[string]int64{}, in: map[string]int64{}}
-				perLabel[rec.label] = ld
-			}
-			ld.out[id]++
-			ld.in[rec.otherV]++
-		}
-		st.OutDegreeHist.Add(int64(len(v.out)))
-	}
-	for label, ld := range perLabel {
-		es := graph.EdgeLabelStats{OutVertices: int64(len(ld.out)), InVertices: int64(len(ld.in))}
-		for _, d := range ld.out {
-			es.Count += d
-			if d > es.MaxOut {
-				es.MaxOut = d
-			}
-		}
-		for _, d := range ld.in {
-			if d > es.MaxIn {
-				es.MaxIn = d
-			}
-		}
-		st.EdgeLabels[label] = es
-	}
-	return st, nil
-}
-
 // AggVertexEdges implements graph.Backend by materialization: it fetches
 // the incident edges with VertexEdges and aggregates them with
 // graph.AggregateElements.
@@ -967,5 +898,4 @@ var (
 	_ graph.DataVersioned      = (*Graph)(nil)
 	_ graph.CacheStatsProvider = (*Graph)(nil)
 	_ graph.CacheFlusher       = (*Graph)(nil)
-	_ graph.Analyzer           = (*Graph)(nil)
 )

@@ -1,11 +1,11 @@
 // Differential conformance for the cached, vectorized read path. The same
 // script battery runs twice per configuration — cold and warm, so the second
 // run is served by the compiled-plan cache and any backend topology caches —
-// across parallelism 1/2/8 and several batch-size caps, and every run must
-// reproduce the uncached serial golden BIT-IDENTICALLY: same objects in the
-// same order, and the same per-step traverser counts in profile() reports.
-// Caching and batching are pure plumbing optimizations; any observable
-// difference is a bug.
+// at parallelism 1/2/8 over the fan-out dataset, whose hops split into
+// several backend batch calls, and every run must reproduce the uncached
+// serial golden BIT-IDENTICALLY: same objects in the same order, and the
+// same per-step traverser counts in profile() reports. Caching and batching
+// are pure plumbing optimizations; any observable difference is a bug.
 package graphtest
 
 import (
@@ -70,7 +70,7 @@ func renderProfile(p *telemetry.Profile) string {
 // built by build.
 func RunCachedDifferential(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backend, error)) {
 	t.Helper()
-	vs, es := Dataset()
+	vs, es := FanoutDataset()
 	b, err := build(vs, es)
 	if err != nil {
 		t.Fatalf("build backend: %v", err)
@@ -97,27 +97,25 @@ func RunCachedDifferential(t *testing.T, build func(vertices, edges []*graph.Ele
 
 	pc := gremlin.NewPlanCache(0)
 	for _, par := range []int{1, 2, 8} {
-		for _, bs := range []int{0, 2, 7} {
-			name := fmt.Sprintf("par=%d/batch=%d", par, bs)
-			src := gremlin.NewSource(b).WithParallelism(par).WithBatchSize(bs).WithPlanCache(pc)
-			for round := 0; round < 2; round++ { // round 1 hits the plan cache
-				for i, script := range differentialScripts {
-					res, err := gremlin.RunScript(src, script, nil)
-					if err != nil {
-						t.Fatalf("%s round %d %q: %v", name, round, script, err)
-					}
-					if got := renderObjs(res); got != wantRes[i] {
-						t.Fatalf("%s round %d %q diverged\n got: %s\nwant: %s",
-							name, round, script, got, wantRes[i])
-					}
-					pres, err := gremlin.RunScript(src, script+".profile()", nil)
-					if err != nil {
-						t.Fatalf("%s round %d %q profile: %v", name, round, script, err)
-					}
-					if got := renderProfile(pres[0].(*telemetry.Profile)); got != wantProf[i] {
-						t.Fatalf("%s round %d %q profile diverged\n got: %s\nwant: %s",
-							name, round, script, got, wantProf[i])
-					}
+		name := fmt.Sprintf("par=%d", par)
+		src := gremlin.NewSource(b).WithParallelism(par).WithPlanCache(pc)
+		for round := 0; round < 2; round++ { // round 1 hits the plan cache
+			for i, script := range differentialScripts {
+				res, err := gremlin.RunScript(src, script, nil)
+				if err != nil {
+					t.Fatalf("%s round %d %q: %v", name, round, script, err)
+				}
+				if got := renderObjs(res); got != wantRes[i] {
+					t.Fatalf("%s round %d %q diverged\n got: %s\nwant: %s",
+						name, round, script, got, wantRes[i])
+				}
+				pres, err := gremlin.RunScript(src, script+".profile()", nil)
+				if err != nil {
+					t.Fatalf("%s round %d %q profile: %v", name, round, script, err)
+				}
+				if got := renderProfile(pres[0].(*telemetry.Profile)); got != wantProf[i] {
+					t.Fatalf("%s round %d %q profile diverged\n got: %s\nwant: %s",
+						name, round, script, got, wantProf[i])
 				}
 			}
 		}
@@ -125,5 +123,19 @@ func RunCachedDifferential(t *testing.T, build func(vertices, edges []*graph.Ele
 	stats := pc.Stats()
 	if stats.Hits == 0 {
 		t.Fatalf("plan cache never hit: %+v", stats)
+	}
+
+	// Non-vacuity: the parallel passes compare a chunked fan-out with the
+	// serial one only if some hop really split into several batch calls.
+	for _, par := range []int{2, 8} {
+		reg := telemetry.NewRegistry()
+		src := gremlin.NewSource(graph.Instrument(b, reg)).WithParallelism(par)
+		if _, err := gremlin.RunScript(src, `g.V().out()`, nil); err != nil {
+			t.Fatalf("par=%d g.V().out(): %v", par, err)
+		}
+		c := reg.Counter(fmt.Sprintf(`graph_backend_calls_total{backend=%q,method="EdgesForVertices"}`, b.Name()))
+		if n := c.Value(); n < 2 {
+			t.Fatalf("par=%d: g.V().out() issued %d EdgesForVertices calls, want >= 2; the differential never chunks a hop", par, n)
+		}
 	}
 }

@@ -51,6 +51,32 @@ func Dataset() (vertices, edges []*graph.Element) {
 	return vertices, edges
 }
 
+// FanoutDataset returns the canonical dataset plus a fan-out set large
+// enough for the parallel engine to split hops into several backend batch
+// calls (it needs at least two vertexChunkMin-sized chunks of anchors): a
+// hub topic "h1" that every user follows and that likes every user back,
+// and a ring in which each user mentions the next three.
+func FanoutDataset() (vertices, edges []*graph.Element) {
+	vertices, edges = Dataset()
+	vertices = append(vertices, &graph.Element{ID: "h1", Label: "topic"})
+	const users = 40
+	for i := 1; i <= users; i++ {
+		u := fmt.Sprintf("u%d", i)
+		vertices = append(vertices, &graph.Element{ID: u, Label: "user"})
+		edges = append(edges,
+			&graph.Element{ID: fmt.Sprintf("f%d", i), Label: "follows", OutV: u, InV: "h1", IsEdge: true},
+			&graph.Element{ID: fmt.Sprintf("l%d", i), Label: "likes", OutV: "h1", InV: u, IsEdge: true},
+		)
+		for j := 1; j <= 3; j++ {
+			edges = append(edges, &graph.Element{
+				ID:    fmt.Sprintf("m%d_%d", i, j),
+				Label: "mentions", OutV: u, InV: fmt.Sprintf("u%d", (i+j-1)%users+1), IsEdge: true,
+			})
+		}
+	}
+	return vertices, edges
+}
+
 // Run executes the conformance suite against a backend built by build.
 func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backend, error)) {
 	ctx := context.Background()
@@ -165,6 +191,24 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	v, _ = b.AggVertexEdges(ctx, []string{"p1", "p2"}, graph.DirOut, &graph.Query{}, graph.Agg{Kind: graph.AggCount})
 	if n, _ := v.Int(); n != 2 {
 		t.Fatalf("AggVertexEdges count = %v", v)
+	}
+	// A pushed limit caps the whole edge set, across edge tables: p1's and
+	// d11's out-edges (e1, e4) have different labels.
+	els, err = b.VertexEdges(ctx, []string{"p1", "d11"}, graph.DirOut, &graph.Query{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(els); len(got) != 1 || (got[0] != "e1" && got[0] != "e4") {
+		t.Fatalf("outE(p1,d11) limit 1 = %v, want one of e1, e4", got)
+	}
+	for _, limit := range []int{1, 2, 5} {
+		v, err = b.AggVertexEdges(ctx, []string{"p1", "d11"}, graph.DirOut, &graph.Query{Limit: limit}, graph.Agg{Kind: graph.AggCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := v.Int(); n != int64(min(limit, 2)) {
+			t.Fatalf("AggVertexEdges count limit %d = %v, want %d", limit, v, min(limit, 2))
+		}
 	}
 	v, _ = b.AggV(ctx, &graph.Query{Labels: []string{"patient"}}, graph.Agg{Kind: graph.AggSum, Key: "subscriptionID"})
 	if f, _ := v.Float(); f != 600 {

@@ -55,7 +55,9 @@ func renderSorted(objs []any) string {
 // overlay, whose writes go through DML like any other Db2 client's).
 func RunCacheInvalidation(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backend, graph.Mutable, error)) {
 	t.Helper()
-	vs, es := Dataset()
+	// The fan-out set makes the parallel sources split hops into several
+	// backend batch calls, so a stale chunk cannot hide.
+	vs, es := FanoutDataset()
 	b, mut, err := build(vs, es)
 	if err != nil {
 		t.Fatalf("build backend: %v", err)
@@ -77,9 +79,9 @@ func RunCacheInvalidation(t *testing.T, build func(vertices, edges []*graph.Elem
 
 	pc := gremlin.NewPlanCache(0)
 	sources := []*gremlin.Source{
-		gremlin.NewSource(b).WithParallelism(1).WithPlanCache(pc).WithBatchSize(2),
-		gremlin.NewSource(b).WithParallelism(4).WithPlanCache(pc),
-		gremlin.NewSource(b).WithParallelism(8).WithPlanCache(pc).WithBatchSize(3),
+		gremlin.NewSource(b).WithParallelism(1).WithPlanCache(pc),
+		gremlin.NewSource(b).WithParallelism(2).WithPlanCache(pc),
+		gremlin.NewSource(b).WithParallelism(8).WithPlanCache(pc),
 	}
 	check := func(phase string) {
 		t.Helper()

@@ -333,60 +333,6 @@ func (m *MemBackend) EdgesForVertices(ctx context.Context, vids []string, dir Di
 	return out, nil
 }
 
-// AnalyzeStats implements Analyzer natively: one pass over the internal
-// maps under a single read lock, without materializing query results.
-func (m *MemBackend) AnalyzeStats(ctx context.Context) (*Stats, error) {
-	if err := Interrupted(ctx); err != nil {
-		return nil, err
-	}
-	st := &Stats{
-		DataVersion:  m.DataVersion(),
-		VertexLabels: map[string]int64{},
-		EdgeLabels:   map[string]EdgeLabelStats{},
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st.VertexCount = int64(len(m.vertices))
-	for _, v := range m.vertices {
-		st.VertexLabels[v.Label]++
-	}
-	st.EdgeCount = int64(len(m.edges))
-	type labelDeg struct{ out, in map[string]int64 }
-	perLabel := map[string]*labelDeg{}
-	for i, id := range m.eorder {
-		if err := ScanTick(ctx, i); err != nil {
-			return nil, err
-		}
-		e := m.edges[id]
-		ld := perLabel[e.Label]
-		if ld == nil {
-			ld = &labelDeg{out: map[string]int64{}, in: map[string]int64{}}
-			perLabel[e.Label] = ld
-		}
-		ld.out[e.OutV]++
-		ld.in[e.InV]++
-	}
-	for label, ld := range perLabel {
-		es := EdgeLabelStats{OutVertices: int64(len(ld.out)), InVertices: int64(len(ld.in))}
-		for _, d := range ld.out {
-			es.Count += d
-			if d > es.MaxOut {
-				es.MaxOut = d
-			}
-		}
-		for _, d := range ld.in {
-			if d > es.MaxIn {
-				es.MaxIn = d
-			}
-		}
-		st.EdgeLabels[label] = es
-	}
-	for _, id := range m.vorder {
-		st.OutDegreeHist.Add(int64(len(m.out[id])))
-	}
-	return st, nil
-}
-
 // AggV implements Backend via the generic fallback.
 func (m *MemBackend) AggV(ctx context.Context, q *Query, agg Agg) (types.Value, error) {
 	els, err := m.V(ctx, q)
@@ -419,5 +365,4 @@ var (
 	_ Mutable       = (*MemBackend)(nil)
 	_ BatchBackend  = (*MemBackend)(nil)
 	_ DataVersioned = (*MemBackend)(nil)
-	_ Analyzer      = (*MemBackend)(nil)
 )

@@ -2,19 +2,14 @@ package graph
 
 import (
 	"context"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Stats is a point-in-time statistical summary of one backend's graph:
-// per-label vertex and edge cardinalities plus degree information. The
-// cost-based planner (internal/gremlin) consults it to order multi-label
-// fan-out, choose index-vs-scan endpoint resolution per hop, and size batch
-// chunks from estimated rows. Statistics only ever influence *how* a plan
-// executes, never *what* it returns: every costed decision is
-// result-identical by construction (proven by graphtest.RunPlannerDifferential).
+// vertex and edge totals and per-label cardinalities. The cost model
+// (internal/gremlin) reads it to annotate plans with row estimates for
+// explain(); no execution choice depends on it.
 type Stats struct {
 	// DataVersion is the backend's DataVersion observed before the scan
 	// started; stats are stale once the backend's current version differs.
@@ -23,74 +18,9 @@ type Stats struct {
 	VertexCount int64 `json:"vertex_count"`
 	EdgeCount   int64 `json:"edge_count"`
 
-	// VertexLabels counts vertices per label.
+	// VertexLabels / EdgeLabels count vertices / edges per label.
 	VertexLabels map[string]int64 `json:"vertex_labels,omitempty"`
-	// EdgeLabels summarizes edges per label.
-	EdgeLabels map[string]EdgeLabelStats `json:"edge_labels,omitempty"`
-
-	// OutDegreeHist is a log2-bucket histogram of total vertex out-degree
-	// (all edge labels combined). Bucket 0 counts isolated vertices
-	// (out-degree 0); bucket i counts vertices with out-degree in
-	// [2^(i-1), 2^i).
-	OutDegreeHist DegreeHist `json:"out_degree_hist"`
-}
-
-// EdgeLabelStats summarizes the edges of one label.
-type EdgeLabelStats struct {
-	// Count is the number of edges with this label.
-	Count int64 `json:"count"`
-	// OutVertices / InVertices are the numbers of distinct source /
-	// destination vertices. Count/OutVertices is the mean out-fanout of the
-	// label; a ratio much greater than 1 marks hub-heavy (skewed) labels.
-	OutVertices int64 `json:"out_vertices"`
-	InVertices  int64 `json:"in_vertices"`
-	// MaxOut / MaxIn are the largest per-vertex out/in degrees for this
-	// label — the skew ceiling.
-	MaxOut int64 `json:"max_out"`
-	MaxIn  int64 `json:"max_in"`
-}
-
-// MeanOut returns the average out-degree of sources of this label.
-func (s EdgeLabelStats) MeanOut() float64 {
-	if s.OutVertices == 0 {
-		return 0
-	}
-	return float64(s.Count) / float64(s.OutVertices)
-}
-
-// MeanIn returns the average in-degree of destinations of this label.
-func (s EdgeLabelStats) MeanIn() float64 {
-	if s.InVertices == 0 {
-		return 0
-	}
-	return float64(s.Count) / float64(s.InVertices)
-}
-
-// DegreeHist is a log2-bucket degree histogram: Buckets[0] counts degree 0,
-// Buckets[i] counts degrees in [2^(i-1), 2^i).
-type DegreeHist struct {
-	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Add records one observation.
-func (h *DegreeHist) Add(degree int64) {
-	b := 0
-	if degree > 0 {
-		b = bits.Len64(uint64(degree))
-	}
-	for len(h.Buckets) <= b {
-		h.Buckets = append(h.Buckets, 0)
-	}
-	h.Buckets[b]++
-}
-
-// Total returns the number of observations.
-func (h *DegreeHist) Total() int64 {
-	var n int64
-	for _, c := range h.Buckets {
-		n += c
-	}
-	return n
+	EdgeLabels   map[string]int64 `json:"edge_labels,omitempty"`
 }
 
 // VertexLabelCount returns the vertex cardinality of one label, falling back
@@ -111,42 +41,15 @@ func (s *Stats) EdgeLabelCount(label string) int64 {
 	if s == nil {
 		return 0
 	}
-	if es, ok := s.EdgeLabels[label]; ok {
-		return es.Count
+	if n, ok := s.EdgeLabels[label]; ok {
+		return n
 	}
 	return s.EdgeCount
 }
 
-// Analyzer is implemented by backends with a native, cheaper statistics scan
-// (e.g. reading in-memory label maps directly instead of materializing every
-// element through the public V/E scan path). AnalyzeBackend falls back to the
-// generic CollectStats when the interface is absent.
-type Analyzer interface {
-	AnalyzeStats(ctx context.Context) (*Stats, error)
-}
-
-// AnalyzeBackend computes statistics for b, preferring a native Analyzer
-// implementation anywhere in b's decorator chain (unwrapping through
-// Unwrap() Backend, e.g. InstrumentedBackend) and falling back to the
-// generic CollectStats scan.
-func AnalyzeBackend(ctx context.Context, b Backend) (*Stats, error) {
-	for cur := b; cur != nil; {
-		if a, ok := cur.(Analyzer); ok {
-			return a.AnalyzeStats(ctx)
-		}
-		u, ok := cur.(interface{ Unwrap() Backend })
-		if !ok {
-			break
-		}
-		cur = u.Unwrap()
-	}
-	return CollectStats(ctx, b)
-}
-
-// CollectStats is the generic statistics scan: two projection-free full
-// scans (V and E) through the public Backend contract. It works on every
-// backend; native Analyzer implementations must return equivalent numbers
-// (proven by the stats conformance tests).
+// CollectStats scans b through the public Backend contract: two
+// projection-free full scans (V and E), counted per label. It works on every
+// backend and is what StatsProvider.Analyze runs.
 func CollectStats(ctx context.Context, b Backend) (*Stats, error) {
 	// Tag with the version observed *before* reading, mirroring the cache
 	// layers: if a mutation lands mid-scan the recorded version is already
@@ -154,7 +57,7 @@ func CollectStats(ctx context.Context, b Backend) (*Stats, error) {
 	st := &Stats{
 		DataVersion:  DataVersionOf(b),
 		VertexLabels: map[string]int64{},
-		EdgeLabels:   map[string]EdgeLabelStats{},
+		EdgeLabels:   map[string]int64{},
 	}
 	noProps := &Query{Projection: []string{}}
 	verts, err := b.V(ctx, noProps)
@@ -170,63 +73,10 @@ func CollectStats(ctx context.Context, b Backend) (*Stats, error) {
 		return nil, err
 	}
 	st.EdgeCount = int64(len(edges))
-	type labelDeg struct {
-		out map[string]int64
-		in  map[string]int64
-	}
-	perLabel := map[string]*labelDeg{}
-	outDeg := make(map[string]int64, len(verts))
 	for _, e := range edges {
-		ld := perLabel[e.Label]
-		if ld == nil {
-			ld = &labelDeg{out: map[string]int64{}, in: map[string]int64{}}
-			perLabel[e.Label] = ld
-		}
-		ld.out[e.OutV]++
-		ld.in[e.InV]++
-		outDeg[e.OutV]++
-	}
-	for label, ld := range perLabel {
-		es := EdgeLabelStats{
-			OutVertices: int64(len(ld.out)),
-			InVertices:  int64(len(ld.in)),
-		}
-		for _, d := range ld.out {
-			es.Count += d
-			if d > es.MaxOut {
-				es.MaxOut = d
-			}
-		}
-		for _, d := range ld.in {
-			if d > es.MaxIn {
-				es.MaxIn = d
-			}
-		}
-		st.EdgeLabels[label] = es
-	}
-	// Histogram over every vertex, including the edge-free ones.
-	for _, v := range verts {
-		st.OutDegreeHist.Add(outDeg[v.ID])
+		st.EdgeLabels[e.Label]++
 	}
 	return st, nil
-}
-
-// SortedVertexLabels returns the vertex labels in deterministic order
-// (ascending cardinality, ties by name) — the fan-out order the planner
-// prefers and the order explain() renders.
-func (s *Stats) SortedVertexLabels() []string {
-	out := make([]string, 0, len(s.VertexLabels))
-	for l := range s.VertexLabels {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := s.VertexLabels[out[i]], s.VertexLabels[out[j]]
-		if a != b {
-			return a < b
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // StatsProvider owns the current statistics of one backend: ANALYZE refreshes
@@ -249,7 +99,7 @@ func NewStatsProvider(b Backend) *StatsProvider {
 
 // Analyze recomputes statistics from the backend and installs them.
 func (p *StatsProvider) Analyze(ctx context.Context) (*Stats, error) {
-	st, err := AnalyzeBackend(ctx, p.backend)
+	st, err := CollectStats(ctx, p.backend)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +122,8 @@ func (p *StatsProvider) Current() *Stats {
 func (p *StatsProvider) Epoch() uint64 { return p.epoch.Load() }
 
 // Fresh reports whether the installed statistics still match the backend's
-// current data version. Stale statistics remain usable (they only steer
-// result-identical physical choices) but explain() flags them.
+// current data version. Stale statistics remain usable (they only feed
+// explain() estimates) but explain() flags them.
 func (p *StatsProvider) Fresh() bool {
 	p.mu.RLock()
 	st := p.stats

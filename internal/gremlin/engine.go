@@ -43,14 +43,11 @@ func (t *Traverser) element() (*graph.Element, bool) {
 
 // execCtx carries shared execution state.
 type execCtx struct {
-	goctx       context.Context
-	backend     graph.Backend
+	goctx   context.Context
+	backend graph.Backend
 	// batch is the backend's vectorized view (native BatchBackend or the
 	// conformance-proven fallback adapter), resolved once per execution.
 	batch graph.BatchBackend
-	// batchSize, when positive, caps chunk sizes on the order-preserving
-	// fan-out paths (Source.BatchSize).
-	batchSize int
 	// batchHist, when non-nil, records batched expansion sizes.
 	batchHist   *telemetry.IntHistogram
 	sideEffects map[string][]any
@@ -167,7 +164,6 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 		goctx:       goctx,
 		backend:     t.Src.Backend,
 		batch:       graph.Batched(t.Src.Backend),
-		batchSize:   t.Src.BatchSize,
 		batchHist:   t.Src.BatchHist,
 		sideEffects: make(map[string][]any),
 		trackPaths:  plansPaths(steps),
@@ -770,16 +766,6 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 	nchunks := 1
 	if x.Dir != graph.DirBoth && (x.Query == nil || x.Query.Limit == 0) {
 		nchunks = ctx.chunkable(len(vids), vertexChunkMin)
-		// The planner's chunk-size hint caps anchors per chunk below the
-		// static floor when the estimated fan-out per anchor is high, so a
-		// small anchor set still spreads across the worker pool. Pool-gated:
-		// the serial engine keeps its single-call batches. Chunk count never
-		// affects results (contiguous chunks, order-preserving merge).
-		if x.BatchHint > 0 && ctx.pool != nil {
-			if need := (len(vids) + x.BatchHint - 1) / x.BatchHint; need > nchunks {
-				nchunks = need
-			}
-		}
 	}
 	return ctx.mapChunks(len(vids), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
 		return vertexFanout(c, x, vids[lo:hi], parents)
@@ -958,51 +944,6 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 		}
 	}
 	resolved := make([]*graph.Element, len(hits))
-	if x.ResolveScan && len(vq.IDs) == 0 && vq.Limit == 0 {
-		// Planner-chosen distinct-endpoint resolution: on hub-heavy hops many
-		// edge hits share a far endpoint, so one multi-get over the distinct
-		// endpoint ids beats resolving per edge. The hash join back into hit
-		// order reproduces EdgeVertices alignment exactly (nil = filtered by
-		// vq), per the BatchBackend contract. Runtime-gated off when vq
-		// carries an id filter or limit, whose semantics VerticesByIDs
-		// replaces rather than applies.
-		want := make([]string, len(hits))
-		var distinct []string
-		seen := make(map[string]bool, len(hits))
-		for i, h := range hits {
-			w := h.edge.InV
-			if ends[i] == graph.DirOut {
-				w = h.edge.OutV
-			}
-			want[i] = w
-			if !seen[w] {
-				seen[w] = true
-				distinct = append(distinct, w)
-			}
-		}
-		ctx.observeBatch(len(distinct))
-		vs, err := ctx.batch.VerticesByIDs(ctx.goctx, distinct, vq)
-		if err != nil {
-			return nil, err
-		}
-		byID := make(map[string]*graph.Element, len(distinct))
-		for i, id := range distinct {
-			byID[id] = vs[i]
-		}
-		for i := range hits {
-			resolved[i] = byID[want[i]]
-		}
-		out := make([]*Traverser, 0, len(hits))
-		for i, h := range hits {
-			if resolved[i] == nil {
-				continue // filtered by vq
-			}
-			tr := ctx.derive(h.parent, resolved[i])
-			tr.FromV = h.fromV
-			out = append(out, tr)
-		}
-		return out, nil
-	}
 	// Batch by end direction to keep the backend contract simple.
 	for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
 		batch := make([]*graph.Element, 0, len(hits))

@@ -9,8 +9,8 @@ import (
 // ExplainNode is one step of an explained plan: the physical step rendering
 // plus the planner's estimate and the measured actuals.
 type ExplainNode struct {
-	// Name is the physical step rendering (describeStep), including
-	// planner annotations like +scanresolve and +hint:N.
+	// Name is the physical step rendering (describeStep), including the
+	// strategies' pushdown annotations like +seeded, +agg:count and +proj.
 	Name string `json:"name"`
 	// Depth indents steps nested inside repeat()/where()/union() bodies.
 	Depth int `json:"depth,omitempty"`
@@ -21,7 +21,7 @@ type ExplainNode struct {
 	// invocation count (invocation-summed, parallelism-independent).
 	ActualRows int64 `json:"actual_rows"`
 	Calls      int64 `json:"calls"`
-	// Notes records the planner decisions taken at this step.
+	// Notes records how the step reaches its rows (id lookup or full scan).
 	Notes []string `json:"notes,omitempty"`
 }
 

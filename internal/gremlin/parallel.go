@@ -57,7 +57,7 @@ func (p *workerPool) size() int { return cap(p.sem) + 1 }
 
 // tryAcquire borrows a worker token without blocking. Callers that fail to
 // acquire must run the work inline. A nil pool (the serial engine) never
-// lends workers: chunks produced purely by a BatchSize cap run inline.
+// lends workers.
 func (p *workerPool) tryAcquire() bool {
 	if p == nil {
 		return false
@@ -82,28 +82,13 @@ func (p *workerPool) release() {
 }
 
 // chunkable reports how many chunks a batch of total items should split
-// into: 1 unless the execution has a pool and the batch clears the floor.
-// A positive batch-size cap (Source.BatchSize) raises the chunk count so no
-// chunk exceeds it, even on the serial engine — callers only invoke
-// chunkable on paths where chunking is order-preserving, so the cap never
-// changes results, only the size of individual backend calls.
+// into: 1 unless the execution has a pool and the batch clears the floor,
+// then one per minChunk items up to the pool size.
 func (ctx *execCtx) chunkable(total, minChunk int) int {
-	n := 1
-	if ctx.pool != nil && total >= 2*minChunk {
-		n = total / minChunk
-		if max := ctx.pool.size(); n > max {
-			n = max
-		}
-		if n < 2 {
-			n = 1
-		}
+	if ctx.pool == nil || total < 2*minChunk {
+		return 1
 	}
-	if b := ctx.batchSize; b > 0 {
-		if need := (total + b - 1) / b; need > n {
-			n = need
-		}
-	}
-	return n
+	return min(total/minChunk, ctx.pool.size())
 }
 
 // runChunks splits [0, total) into nchunks contiguous ranges and runs fn on

@@ -29,9 +29,10 @@ const DefaultPlanCacheEntries = 256
 // script share a single compiled template.
 //
 // Cacheability (decided by RunScriptCtx): a script compiles to a reusable
-// plan only when it is a single statement, binds no variable, and references
+// plan only when it is a single statement, binds no variable, references
 // none — variable references splice caller-provided values into the plan, so
-// those scripts recompile every run. Keying by ConfigVersion means plans
+// those scripts recompile every run — and has no string literal containing
+// the parameter marker (shapeSafe). Keying by ConfigVersion means plans
 // compiled against an older overlay configuration are never reused after a
 // DDL-driven remap (backends without a config version key everything at 0);
 // keying by stats epoch retires plans costed under stale statistics the same
@@ -58,8 +59,7 @@ type PlanCache struct {
 // planKey identifies one compiled plan.
 type planKey struct {
 	// shape is the normalized script: tokens space-joined with parameterized
-	// literals rendered as "?" (renderShape), or the exact script text when
-	// normalization is unavailable (shapeSafe false).
+	// literals rendered as "?" (renderShape).
 	shape   string
 	config  uint64
 	nostrat bool

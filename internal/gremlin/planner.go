@@ -1,61 +1,30 @@
 package gremlin
 
-import (
-	"fmt"
-	"sort"
+import "db2graph/internal/graph"
 
-	"db2graph/internal/graph"
-)
-
-// The cost-based planner (ROADMAP item 3): after the rule-based strategies
-// rewrite the plan, applyCost consults catalog statistics (graph.Stats) to
-// make *physical* choices — multi-label fan-out order, index-vs-scan endpoint
-// resolution per hop, and batch chunk sizing — and to annotate every step
-// with a cardinality estimate for explain().
-//
-// Safety bar: statistics influence how a plan executes, never what it
-// returns. Every decision below is result-identical by construction:
-//
-//   - Fan-out label order: VertexStep.Query.Labels is a set-membership
-//     filter on every backend (the per-label iteration that makes order
-//     observable exists only for root GraphStep scans, which the planner
-//     deliberately does not reorder).
-//   - ResolveScan: the distinct-id VerticesByIDs + hash-join resolution is
-//     aligned-and-filtered exactly like per-edge EdgeVertices by the
-//     BatchBackend conformance contract.
-//   - BatchHint: chunked execution is position-preserving regardless of
-//     chunk count (the serial==parallel bit-identity contract), and the
-//     hint only applies when a worker pool is active.
-//
-// graphtest.RunPlannerDifferential proves the bit-identity on all four
-// backends at parallelism 1/2/8.
+// The cost model: after the rule-based strategies rewrite the plan,
+// applyCost reads catalog statistics (graph.Stats) to annotate every step
+// with a cardinality estimate for explain(). It only estimates: it makes no
+// physical choice, so a costed plan executes exactly as the static one.
+// Physical choices are the strategies' rules, as the paper's optimizations
+// are (the compile-time pushdowns of §6.2, the SQL-dialect rewrites of §6.3).
 
 // CostEst is the planner's cardinality estimate for one step, carried on the
 // plan for explain() rendering only — execution never consults it.
 type CostEst struct {
 	// Rows is the estimated number of traversers leaving the step.
 	Rows float64
-	// Notes records the planner decisions taken at this step.
+	// Notes records how the step reaches its rows (id lookup or full scan).
 	Notes []string
 }
 
-// Cost-model tuning constants.
-const (
-	// predSelectivity is the assumed fraction of rows surviving one
-	// property predicate (no per-property histograms yet).
-	predSelectivity = 0.25
-	// resolveScanDupRatio is the duplicate-endpoint ratio (edges per
-	// distinct endpoint vertex) above which out()/in() endpoint resolution
-	// switches to the distinct-id multi-get path.
-	resolveScanDupRatio = 4.0
-	// chunkHintTargetRows is the per-chunk output budget BatchHint aims
-	// for: anchors per chunk ≈ target / estimated-rows-per-anchor.
-	chunkHintTargetRows = 256
-)
+// predSelectivity is the assumed fraction of rows surviving one property
+// predicate (no per-property histograms).
+const predSelectivity = 0.25
 
-// applyCost runs the cost model over a strategy-rewritten plan in place,
-// recursing into nested plans the way applyStrategies does. st must be
-// non-nil; steps must already be private to this plan (cloned).
+// applyCost annotates a strategy-rewritten plan in place, recursing into
+// nested plans the way applyStrategies does. st must be non-nil; steps must
+// already be private to this plan (cloned).
 func applyCost(steps []Step, st *graph.Stats) {
 	est := -1.0 // unknown incoming cardinality (anonymous sub-traversals)
 	for _, s := range steps {
@@ -63,8 +32,8 @@ func applyCost(steps []Step, st *graph.Stats) {
 	}
 }
 
-// costStep applies planner decisions to one step and returns the estimated
-// outgoing cardinality (-1 = unknown).
+// costStep annotates one step and returns the estimated outgoing
+// cardinality (-1 = unknown).
 func costStep(s Step, st *graph.Stats, in float64) float64 {
 	switch x := s.(type) {
 	case *GraphStep:
@@ -75,9 +44,9 @@ func costStep(s Step, st *graph.Stats, in float64) float64 {
 			x.Est.Notes = append(x.Est.Notes, "index: id lookup")
 		} else {
 			if x.Kind == KindVertex {
-				rows = float64(labelRows(st.VertexCount, x.Query, func(l string) int64 { return st.VertexLabelCount(l) }))
+				rows = float64(labelRows(st.VertexCount, x.Query, st.VertexLabelCount))
 			} else {
-				rows = float64(labelRows(st.EdgeCount, x.Query, func(l string) int64 { return st.EdgeLabelCount(l) }))
+				rows = float64(labelRows(st.EdgeCount, x.Query, st.EdgeLabelCount))
 			}
 			x.Est.Notes = append(x.Est.Notes, "full scan")
 		}
@@ -94,41 +63,9 @@ func costStep(s Step, st *graph.Stats, in float64) float64 {
 		if len(x.SeedIDs) > 0 {
 			anchors = float64(len(x.SeedIDs))
 		}
-		perAnchor, dupRatio := fanoutEst(st, x.Dir, x.Query)
-
-		// Decision 1: order a multi-label fan-out by ascending per-label
-		// cardinality (cheapest first). Pure set semantics on the
-		// adjacency filter — result order is anchor-major, not label-major.
-		if x.Query != nil && len(x.Query.Labels) > 1 {
-			orderLabelsByCardinality(x.Query.Labels, st)
-			x.Est.Notes = append(x.Est.Notes, "labels ordered by cardinality")
-		}
-
-		// Decision 2: index-vs-scan endpoint resolution for out()/in().
-		// When many edge hits share an endpoint, resolving the distinct
-		// endpoint ids with one multi-get beats per-edge EdgeVertices.
-		if !x.ReturnEdges && x.Dir != graph.DirBoth && dupRatio >= resolveScanDupRatio {
-			x.ResolveScan = true
-			x.Est.Notes = append(x.Est.Notes, fmt.Sprintf("scanresolve: distinct-endpoint multi-get (dup ratio %.1f)", dupRatio))
-		}
-
-		// Decision 3: size parallel chunks from estimated rows. A
-		// high-fan-out hop over few anchors under-fills the worker pool at
-		// the static per-chunk floor; cap anchors per chunk so each chunk
-		// carries roughly chunkHintTargetRows estimated rows.
-		if perAnchor > 0 {
-			if hint := int(chunkHintTargetRows / perAnchor); hint < vertexChunkMin {
-				if hint < 1 {
-					hint = 1
-				}
-				x.BatchHint = hint
-				x.Est.Notes = append(x.Est.Notes, fmt.Sprintf("chunk hint %d (est %.1f rows/anchor)", hint, perAnchor))
-			}
-		}
-
 		rows := -1.0
-		if anchors >= 0 && perAnchor >= 0 {
-			rows = anchors * perAnchor
+		if anchors >= 0 {
+			rows = anchors * fanoutEst(st, x.Dir, x.Query)
 			rows = applyQueryEst(rows, x.Query)
 			if !x.ReturnEdges {
 				rows = applyQueryEst(rows, x.VQuery)
@@ -209,54 +146,23 @@ func applyQueryEst(rows float64, q *graph.Query) float64 {
 	return rows
 }
 
-// fanoutEst estimates, for one adjacency hop, the mean edges per anchor
-// vertex and the duplicate-endpoint ratio (edges per distinct endpoint at
-// the far end). Unknown labels fall back to whole-graph degree.
-func fanoutEst(st *graph.Stats, dir graph.Direction, q *graph.Query) (perAnchor, dupRatio float64) {
-	labels := []string(nil)
-	if q != nil {
-		labels = q.Labels
-	}
-	var count, farDistinct int64
-	addLabel := func(es graph.EdgeLabelStats) {
-		count += es.Count
-		if dir == graph.DirIn {
-			farDistinct += es.OutVertices // in(): far end is the source
-		} else {
-			farDistinct += es.InVertices // out()/both(): destination side
-		}
-	}
-	if len(labels) == 0 {
-		for _, es := range st.EdgeLabels {
-			addLabel(es)
-		}
+// fanoutEst estimates the mean edges per anchor vertex for one adjacency
+// hop. Unknown labels contribute nothing.
+func fanoutEst(st *graph.Stats, dir graph.Direction, q *graph.Query) float64 {
+	var count int64
+	if q == nil || len(q.Labels) == 0 {
+		count = st.EdgeCount
 	} else {
-		for _, l := range labels {
-			if es, ok := st.EdgeLabels[l]; ok {
-				addLabel(es)
-			}
+		for _, l := range q.Labels {
+			count += st.EdgeLabels[l]
 		}
 	}
-	if st.VertexCount > 0 {
-		perAnchor = float64(count) / float64(st.VertexCount)
-		if dir == graph.DirBoth {
-			perAnchor *= 2
-		}
+	if st.VertexCount == 0 {
+		return 0
 	}
-	if farDistinct > 0 {
-		dupRatio = float64(count) / float64(farDistinct)
+	perAnchor := float64(count) / float64(st.VertexCount)
+	if dir == graph.DirBoth {
+		perAnchor *= 2
 	}
-	return perAnchor, dupRatio
-}
-
-// orderLabelsByCardinality sorts edge labels ascending by edge count, ties
-// by name, in place — the deterministic fan-out order the planner prefers.
-func orderLabelsByCardinality(labels []string, st *graph.Stats) {
-	sort.SliceStable(labels, func(i, j int) bool {
-		a, b := st.EdgeLabelCount(labels[i]), st.EdgeLabelCount(labels[j])
-		if a != b {
-			return a < b
-		}
-		return labels[i] < labels[j]
-	})
+	return perAnchor
 }

@@ -55,7 +55,7 @@ func paramValueIndex(v types.Value) (int, bool) {
 
 // shapeSafe reports whether the token stream may be parameterized: a script
 // string literal that itself contains the marker prefix could forge a
-// parameter slot, so such scripts fall back to exact-text keying.
+// parameter slot, so such scripts are not cached at all.
 func shapeSafe(toks []gtok) bool {
 	for _, t := range toks {
 		if t.kind == gtokString && strings.Contains(t.text, paramMarkerPrefix) {

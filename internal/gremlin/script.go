@@ -93,10 +93,11 @@ func RunScriptCtx(ctx context.Context, src *Source, script string, env map[strin
 		// strategy rewrite and the cost model; the template is rebound to
 		// this call's literals. Scripts that bind or reference variables
 		// splice environment values into the plan and always recompile
-		// (see PlanCache).
-		cacheable := src.PlanCache != nil && len(stmts) == 1 && varName == ""
+		// (see PlanCache), as do scripts whose string literals contain the
+		// parameter marker (shapeSafe).
+		cacheable := src.PlanCache != nil && len(stmts) == 1 && varName == "" && shapeSafe(body)
 		p := &gparser{toks: body, env: vars}
-		if cacheable && shapeSafe(body) {
+		if cacheable {
 			p.paramize = true
 			p.paramToks = make(map[int]bool)
 		}
@@ -108,12 +109,8 @@ func RunScriptCtx(ctx context.Context, src *Source, script string, env map[strin
 			return nil, fmt.Errorf("%w: statement %d: unexpected trailing input %q", ErrParse, si+1, p.cur().text)
 		}
 		if cacheable && !p.envUsed && tr.err == nil {
-			shape := script
-			if p.paramize {
-				shape = renderShape(body, p.paramToks)
-			}
 			key := planKey{
-				shape:   shape,
+				shape:   renderShape(body, p.paramToks),
 				config:  graph.ConfigVersionOf(src.Backend),
 				nostrat: src.DisableStrategies,
 				stats:   statsEpoch(src),

@@ -67,18 +67,6 @@ type VertexStep struct {
 	// strategy and starts directly from these vertex ids.
 	SeedIDs []string
 
-	// ResolveScan switches out()/in() endpoint resolution from the
-	// per-edge EdgeVertices path to a distinct-id VerticesByIDs multi-get
-	// with a hash join back into edge order. The cost-based planner enables
-	// it on hub-heavy hops where many edges share endpoints; results are
-	// identical by the BatchBackend alignment contract.
-	ResolveScan bool
-	// BatchHint, when > 0, caps the number of anchor vertices per parallel
-	// chunk for this step. The planner sets it when the estimated fan-out
-	// per anchor is high so a small anchor set still spreads across the
-	// whole worker pool. Only consulted when a worker pool is active; it
-	// never changes results (chunked merge order is position-preserving).
-	BatchHint int
 	// Est carries the planner's cardinality estimate (explain() rendering
 	// only; never consulted during execution).
 	Est *CostEst
@@ -364,12 +352,6 @@ func describeStep(s Step) string {
 		}
 		if x.Query != nil && x.Query.Projection != nil {
 			extra += "+proj"
-		}
-		if x.ResolveScan {
-			extra += "+scanresolve"
-		}
-		if x.BatchHint > 0 {
-			extra += fmt.Sprintf("+hint:%d", x.BatchHint)
 		}
 		lbl := ""
 		if x.Query != nil {

@@ -36,23 +36,13 @@ type Source struct {
 	// repeated script texts (see PlanCache for the keying and the
 	// cacheability rules). Safe to share across sources and goroutines.
 	PlanCache *PlanCache
-	// BatchSize, when positive, caps the number of source elements per
-	// batched backend lookup: chunked fan-out steps split so no chunk
-	// exceeds it (bounding IN-list and multi-get sizes), even on the serial
-	// engine. 0 leaves chunk sizing to the parallelism heuristics alone.
-	// Results are unaffected — it only applies where chunking is already
-	// proven order-preserving.
-	BatchSize int
 	// BatchHist, when non-nil, records the size of every batched backend
 	// expansion call (gremlin_batch_size in the server's registry).
 	BatchHist *telemetry.IntHistogram
-	// Stats, when non-nil, enables the cost-based planner: after the
-	// rule-based strategies run, applyCost consults the provider's current
-	// statistics to pick result-identical physical choices (fan-out label
-	// order, index-vs-scan endpoint resolution, batch chunk sizing) and to
-	// annotate the plan for explain(). A nil provider — or one that has
-	// never been Analyzed — leaves plans exactly as the static strategies
-	// produced them.
+	// Stats, when non-nil, enables the cost model: after the rule-based
+	// strategies run, applyCost reads the provider's current statistics to
+	// annotate each step with a row estimate for explain(). It makes no
+	// physical choice, so execution is the same with or without it.
 	Stats *graph.StatsProvider
 }
 
@@ -91,16 +81,8 @@ func (s *Source) WithPlanCache(pc *PlanCache) *Source {
 	return &cp
 }
 
-// WithBatchSize returns a copy of the source whose batched backend lookups
-// are capped at n source elements per call (0 = uncapped).
-func (s *Source) WithBatchSize(n int) *Source {
-	cp := *s
-	cp.BatchSize = n
-	return &cp
-}
-
-// WithStats returns a copy of the source whose plans are costed against the
-// given statistics provider (nil disables the cost-based planner).
+// WithStats returns a copy of the source whose plans are annotated with
+// estimates from the given statistics provider (nil disables the cost model).
 func (s *Source) WithStats(sp *graph.StatsProvider) *Source {
 	cp := *s
 	cp.Stats = sp

@@ -97,11 +97,11 @@ var (
 
 // sentinelByCode maps a wire code to its client-side sentinel.
 var sentinelByCode = map[string]error{
-	CodeTimeout:    ErrTimeout,
-	CodeBudget:     ErrBudget,
-	CodePanic:      ErrPanic,
-	CodeParse:      ErrParse,
-	CodeOverloaded: ErrOverloaded,
+	CodeTimeout:        ErrTimeout,
+	CodeBudget:         ErrBudget,
+	CodePanic:          ErrPanic,
+	CodeParse:          ErrParse,
+	CodeOverloaded:     ErrOverloaded,
 	CodeReadOnly:       ErrReadOnly,
 	CodeStorage:        ErrStorage,
 	CodeBadRequest:     ErrBadRequest,

@@ -295,7 +295,7 @@ func TestClientAbortUnblocks(t *testing.T) {
 func startStatsServer(t *testing.T) string {
 	t.Helper()
 	m := graph.NewMemBackend()
-	vs, es := graphtest.PlannerDataset()
+	vs, es := graphtest.FanoutDataset()
 	for _, v := range vs {
 		if err := m.AddVertex(v); err != nil {
 			t.Fatal(err)
@@ -354,8 +354,8 @@ func TestExplainAndAnalyzeControls(t *testing.T) {
 	}
 
 	// The explained script really executed (estimated vs ACTUAL rows).
-	if !strings.Contains(text, "24") {
-		t.Fatalf("explain should report the 24 followers actually produced:\n%s", text)
+	if !strings.Contains(text, "40") {
+		t.Fatalf("explain should report the 40 followers actually produced:\n%s", text)
 	}
 
 	// Bad script through the explain path propagates a normal error.

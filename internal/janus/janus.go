@@ -969,90 +969,6 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 	return graph.AggregateElements(els, agg)
 }
 
-// AnalyzeStats implements graph.Analyzer natively: one adj/ prefix scan for
-// degree statistics (decoding adjacency blobs, skipping the element
-// materialization and decode caches) and one v/ prefix scan that reads only
-// each vertex record's label header.
-func (g *Graph) AnalyzeStats(ctx context.Context) (*graph.Stats, error) {
-	if err := graph.Interrupted(ctx); err != nil {
-		return nil, err
-	}
-	st := &graph.Stats{
-		DataVersion:  g.version.Load(),
-		VertexLabels: map[string]int64{},
-		EdgeLabels:   map[string]graph.EdgeLabelStats{},
-	}
-	type labelDeg struct{ out, in map[string]int64 }
-	perLabel := map[string]*labelDeg{}
-	outDeg := map[string]int64{}
-	var scanErr error
-	tick := 0
-	g.store.ScanPrefix(aPrefix, func(key string, blob []byte) bool {
-		tick++
-		if scanErr = graph.ScanTick(ctx, tick); scanErr != nil {
-			return false
-		}
-		entries, err := decodeAdj(blob)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		vid := key[len(aPrefix):]
-		for _, e := range entries {
-			if e.dir != 0 {
-				continue // count each edge once, at its out endpoint
-			}
-			ld := perLabel[e.label]
-			if ld == nil {
-				ld = &labelDeg{out: map[string]int64{}, in: map[string]int64{}}
-				perLabel[e.label] = ld
-			}
-			ld.out[vid]++
-			ld.in[e.otherV]++
-			outDeg[vid]++
-			st.EdgeCount++
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for label, ld := range perLabel {
-		es := graph.EdgeLabelStats{OutVertices: int64(len(ld.out)), InVertices: int64(len(ld.in))}
-		for _, d := range ld.out {
-			es.Count += d
-			if d > es.MaxOut {
-				es.MaxOut = d
-			}
-		}
-		for _, d := range ld.in {
-			if d > es.MaxIn {
-				es.MaxIn = d
-			}
-		}
-		st.EdgeLabels[label] = es
-	}
-	g.store.ScanPrefix(vPrefix, func(key string, blob []byte) bool {
-		tick++
-		if scanErr = graph.ScanTick(ctx, tick); scanErr != nil {
-			return false
-		}
-		label, _, err := graphenc.ReadString(blob)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		st.VertexCount++
-		st.VertexLabels[label]++
-		st.OutDegreeHist.Add(outDeg[key[len(vPrefix):]])
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return st, nil
-}
-
 var (
 	_ graph.Backend            = (*Graph)(nil)
 	_ graph.Mutable            = (*Graph)(nil)
@@ -1060,7 +976,6 @@ var (
 	_ graph.DataVersioned      = (*Graph)(nil)
 	_ graph.CacheStatsProvider = (*Graph)(nil)
 	_ graph.CacheFlusher       = (*Graph)(nil)
-	_ graph.Analyzer           = (*Graph)(nil)
 )
 
 // Open warms the store by scanning and decoding every vertex record — the

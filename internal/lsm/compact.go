@@ -195,10 +195,10 @@ func levelIDs(levels [][]*run) [][]uint64 {
 
 // compactTask names the inputs and destination of one compaction.
 type compactTask struct {
-	runs    []*run          // input runs, newest-first across levels
-	inputs  map[uint64]bool // ids of the inputs
-	out     int             // destination level
-	bottom  bool            // no level below out overlaps the key range
+	runs   []*run          // input runs, newest-first across levels
+	inputs map[uint64]bool // ids of the inputs
+	out    int             // destination level
+	bottom bool            // no level below out overlaps the key range
 }
 
 func levelTarget(opts Options, level int) int64 {
