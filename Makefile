@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test bench bench-alloc cluster-faults replication-faults
+.PHONY: check fmt vet build test bench bench-alloc cluster-faults replication-faults
 
 # check is the tier-1 verify target (see ROADMAP.md): vet, build, and the
 # full test suite under the race detector with a hard timeout so lifecycle
@@ -9,6 +9,10 @@ GO ?= go
 # test tree); `cluster-faults` repeats it in isolation with -count=2 for
 # the dedicated CI job.
 check: vet build test
+
+# fmt fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -212,11 +212,11 @@ func partialReportFrom(ctx context.Context) *PartialReport {
 // graph.BatchBackend. Merge rules (the shard-count-invariance proof
 // obligations, exercised by graphtest.RunClusterFaults):
 //
-//   - Scans (V, E without id filters) are fetched unlimited from every
-//     shard, ghost vertices are dropped by ownership, dual-homed edges are
-//     deduplicated by id, the union is sorted by element id, and only then
-//     is q.Limit applied. Sorting makes the result independent of both the
-//     shard count and per-shard iteration order.
+//   - Scans (V, E without id filters) are fetched from every shard, ghost
+//     vertices are dropped by ownership, dual-homed edges are deduplicated
+//     by id, and the union is sorted by element id. Sorting makes the
+//     result independent of both the shard count and per-shard iteration
+//     order.
 //   - Id-routed reads (VerticesByIDs, EdgesForVertices, V with q.IDs) go
 //     only to the owning shards and are reassembled slot-aligned, which
 //     preserves the caller's order exactly.
@@ -226,8 +226,8 @@ func partialReportFrom(ctx context.Context) *PartialReport {
 //     adjacency, so every counted edge is counted on exactly one shard.
 //   - Other derived reads (flat VertexEdges, EdgeVertices, the remaining
 //     aggregates) are computed locally from the above so their semantics
-//     (cross-vertex dedup, global limits, float accumulation order) never
-//     depend on how many shards answered.
+//     (cross-vertex dedup, float accumulation order) never depend on how
+//     many shards answered.
 //
 // All reads are idempotent, which is what licenses retries.
 type Coordinator struct {
@@ -436,7 +436,7 @@ func (c *Coordinator) VerticesByIDs(ctx context.Context, ids []string, q *graph.
 // EdgesForVertices implements graph.BatchBackend. The Partition invariant
 // (every edge lives with both endpoints) means the owning shard holds each
 // vertex's complete adjacency, so per-vertex groups route like point reads
-// and q (including its per-vertex Limit) passes through unchanged.
+// and q passes through unchanged.
 func (c *Coordinator) EdgesForVertices(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query) ([][]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -473,7 +473,7 @@ func (c *Coordinator) EdgesForVertices(ctx context.Context, vids []string, dir g
 // V implements graph.Backend. Id-filtered lookups route to owners and
 // preserve q.IDs order (duplicates included, matching single-node
 // semantics); scans broadcast, drop ghosts by ownership, and merge in
-// canonical id order before the limit applies.
+// canonical id order.
 func (c *Coordinator) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -482,26 +482,19 @@ func (c *Coordinator) V(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 		sub := q.Clone()
 		ids := sub.IDs
 		sub.IDs = nil
-		sub.Limit = 0
 		els, err := c.VerticesByIDs(ctx, ids, sub)
 		if err != nil {
 			return nil, err
 		}
 		var out []*graph.Element
 		for _, el := range els {
-			if el == nil {
-				continue
-			}
-			out = append(out, el)
-			if q.Limit > 0 && len(out) >= q.Limit {
-				break
+			if el != nil {
+				out = append(out, el)
 			}
 		}
 		return out, nil
 	}
-	sub := q.Clone()
-	sub.Limit = 0
-	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpV, Query: sub})
+	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpV, Query: q})
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +507,7 @@ func (c *Coordinator) V(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 		}
 	}
 	sortByID(merged)
-	return applyLimit(merged, q), nil
+	return merged, nil
 }
 
 // E implements graph.Backend. Edge ids do not hash to shards, so every E
@@ -524,9 +517,10 @@ func (c *Coordinator) E(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
 	}
-	sub := q.Clone()
-	sub.Limit = 0
-	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpE, Query: sub})
+	if q == nil {
+		q = &graph.Query{}
+	}
+	replies, err := c.broadcast(ctx, gserver.GraphOp{Method: gserver.OpE, Query: q})
 	if err != nil {
 		return nil, err
 	}
@@ -539,19 +533,14 @@ func (c *Coordinator) E(ctx context.Context, q *graph.Query) ([]*graph.Element, 
 		}
 	}
 	sortByID(merged)
-	merged = repeatByIDs(dedupSortedByID(merged), sub.IDs)
-	return applyLimit(merged, q), nil
+	return repeatByIDs(dedupSortedByID(merged), q.IDs), nil
 }
 
-// VertexEdges implements graph.Backend: per-vertex groups are fetched
-// unlimited from the owning shards, then flattened locally in vid order
-// with the single-node cross-vertex dedup and global limit. The per-shard
-// limit cannot be pushed down here: a shard capping one vertex's group
-// cannot know which of those edges another vertex's group already emitted.
+// VertexEdges implements graph.Backend: per-vertex groups are fetched from
+// the owning shards, then flattened locally in vid order with the
+// single-node cross-vertex dedup.
 func (c *Coordinator) VertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query) ([]*graph.Element, error) {
-	sub := q.Clone()
-	sub.Limit = 0
-	groups, err := c.EdgesForVertices(ctx, vids, dir, sub)
+	groups, err := c.EdgesForVertices(ctx, vids, dir, q)
 	if err != nil {
 		return nil, err
 	}
@@ -564,9 +553,6 @@ func (c *Coordinator) VertexEdges(ctx context.Context, vids []string, dir graph.
 			}
 			seen[e.ID] = true
 			out = append(out, e)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return out, nil
-			}
 		}
 	}
 	return out, nil
@@ -574,9 +560,8 @@ func (c *Coordinator) VertexEdges(ctx context.Context, vids []string, dir graph.
 
 // EdgeVertices implements graph.Backend. Endpoint ids are extracted from
 // the edges locally, resolved with one routed VerticesByIDs scatter, and
-// reassembled: aligned (nil where filtered) for DirOut/DirIn, flattened
-// out-then-in per edge for DirBoth. q's id filter is applied locally since
-// VerticesByIDs replaces ids by contract.
+// reassembled aligned with edges (nil where filtered). q's id filter is
+// applied locally since VerticesByIDs replaces ids by contract.
 func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, dir graph.Direction, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -586,30 +571,6 @@ func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, 
 	}
 	sub := q.Clone()
 	sub.IDs = nil
-	sub.Limit = 0
-	keep := func(v *graph.Element) *graph.Element {
-		if v == nil || (q != nil && !q.MatchesIDs(v)) {
-			return nil
-		}
-		return v
-	}
-	if dir == graph.DirBoth {
-		ids := make([]string, 0, 2*len(edges))
-		for _, e := range edges {
-			ids = append(ids, e.OutV, e.InV)
-		}
-		els, err := c.VerticesByIDs(ctx, ids, sub)
-		if err != nil {
-			return nil, err
-		}
-		var out []*graph.Element
-		for _, v := range els {
-			if v = keep(v); v != nil {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	}
 	ids := make([]string, len(edges))
 	for i, e := range edges {
 		if dir == graph.DirIn {
@@ -623,7 +584,9 @@ func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, 
 		return nil, err
 	}
 	for i, v := range els {
-		els[i] = keep(v)
+		if v != nil && q != nil && !q.MatchesIDs(v) {
+			els[i] = nil
+		}
 	}
 	return els, nil
 }
@@ -641,8 +604,7 @@ func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, 
 //   - ghost vertices are never asked, since ids route to owners only, so a
 //     dual-homed edge is counted only by the owner of the endpoint it is
 //     counted from;
-//   - a repeated id routes to one shard, whose own dedup handles it;
-//   - a pushed Limit L composes: min(Σ min(c_s, L), L) = min(Σ c_s, L).
+//   - a repeated id routes to one shard, whose own dedup handles it.
 //
 // both() is exact only when every id routes to one shard: an edge joining
 // ids owned by two shards would be counted on both. A both() count whose
@@ -700,8 +662,8 @@ func (c *Coordinator) AggVertexEdges(ctx context.Context, vids []string, dir gra
 	return graph.AggregateElements(els, agg)
 }
 
-// countVertexEdges adds up the owner shards' incident-edge counts, then
-// applies the pushed limit. A shard skipped in degraded mode contributes 0.
+// countVertexEdges adds up the owner shards' incident-edge counts. A shard
+// skipped in degraded mode contributes 0.
 func (c *Coordinator) countVertexEdges(ctx context.Context, routes map[int]*route, dir graph.Direction, q *graph.Query) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return types.Null, err
@@ -715,9 +677,6 @@ func (c *Coordinator) countVertexEdges(ctx context.Context, routes map[int]*rout
 	var n int64
 	for _, rep := range replies {
 		n += rep.count
-	}
-	if q != nil && q.Limit > 0 {
-		n = min(n, int64(q.Limit))
 	}
 	return types.NewInt(n), nil
 }
@@ -757,13 +716,6 @@ func repeatByIDs(els []*graph.Element, ids []string) []*graph.Element {
 		}
 	}
 	return out
-}
-
-func applyLimit(els []*graph.Element, q *graph.Query) []*graph.Element {
-	if q != nil && q.Limit > 0 && len(els) > q.Limit {
-		return els[:q.Limit]
-	}
-	return els
 }
 
 // ---------------------------------------------------------------------------

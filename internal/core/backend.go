@@ -210,7 +210,6 @@ func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query, ids *
 		p.props = append(p.props, prop)
 		p.propPos = append(p.propPos, pos)
 	}
-	b.limit = q.Limit
 	return p
 }
 
@@ -334,9 +333,6 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			return nil, err
 		}
 		out = appendRepeated(out, els, mult)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			return out[:q.Limit], nil
-		}
 	}
 	return out, nil
 }
@@ -518,7 +514,6 @@ func (g *Graph) planEdgeFetch(em *overlay.EdgeMapping, q *graph.Query) *edgePlan
 		p.props = append(p.props, prop)
 		p.propPos = append(p.propPos, pos)
 	}
-	b.limit = q.Limit
 	return p
 }
 
@@ -671,9 +666,6 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			return nil, err
 		}
 		out = appendRepeated(out, els, mult)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			return out[:q.Limit], nil
-		}
 	}
 	return out, nil
 }
@@ -746,10 +738,6 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 				out = append(out, el)
 			}
 		}
-		// A pushed limit caps the whole set, not each table's share.
-		if q.Limit > 0 && len(out) >= q.Limit {
-			return out[:q.Limit], nil
-		}
 	}
 	return out, nil
 }
@@ -766,8 +754,8 @@ func edgeTouches(el *graph.Element, vids []string, dir graph.Direction) bool {
 	return false
 }
 
-// EdgeVertices implements graph.Backend. For DirOut/DirIn the result aligns
-// with edges (nil when filtered); DirBoth flattens.
+// EdgeVertices implements graph.Backend. The result aligns with edges (nil
+// when filtered).
 func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir graph.Direction, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -775,24 +763,6 @@ func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir gr
 	if q == nil {
 		q = &graph.Query{}
 	}
-	if dir == graph.DirBoth {
-		outSide, err := g.EdgeVertices(ctx, edges, graph.DirOut, q)
-		if err != nil {
-			return nil, err
-		}
-		inSide, err := g.EdgeVertices(ctx, edges, graph.DirIn, q)
-		if err != nil {
-			return nil, err
-		}
-		var out []*graph.Element
-		for _, v := range append(outSide, inSide...) {
-			if v != nil {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	}
-
 	result := make([]*graph.Element, len(edges))
 
 	// Group target vertex ids by resolution strategy. The grouping maps are
@@ -897,7 +867,6 @@ func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir gr
 		}
 		q2 := q.Clone()
 		q2.IDs = fetch
-		q2.Limit = 0
 		var els []*graph.Element
 		var err error
 		if gr.vm != nil {
@@ -1109,8 +1078,6 @@ func (c *aggCombiner) result() types.Value {
 
 // runAggSQL executes one aggregated statement and feeds the combiner.
 func (g *Graph) runAggSQL(ctx context.Context, b *sqlBuilder, table, sel string, comb *aggCombiner) error {
-	// Aggregate queries never carry LIMIT.
-	b.limit = 0
 	rows, err := g.dialect.Query(ctx, b.SQL(sel), table, b.eqCols, b.params...)
 	if err != nil {
 		return err
@@ -1218,8 +1185,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 // SELECT COUNT(*) FROM EdgeTable WHERE src_v IN (...) AND ... in one round
 // trip per eligible table. An unrestricted count first takes every vertex
 // whose adjacency group is cached (countFromCache) and sends only the
-// rest to SQL. A pushed limit caps the whole edge set, which per-table SQL
-// aggregates cannot express, so a limited aggregate is materialized.
+// rest to SQL.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return types.Null, err
@@ -1230,13 +1196,6 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 	sel, ok := aggSelect(agg)
 	if !ok {
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
-	}
-	if q.Limit > 0 {
-		els, err := g.VertexEdges(ctx, vids, dir, q)
-		if err != nil {
-			return types.Null, err
-		}
-		return graph.AggregateElements(els, agg)
 	}
 	comb := newAggCombiner(agg)
 	all := vids

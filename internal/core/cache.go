@@ -118,7 +118,6 @@ func (g *Graph) VerticesByIDs(ctx context.Context, ids []string, q *graph.Query)
 func (g *Graph) fetchVerticesByIDs(ctx context.Context, ids []string, q *graph.Query) ([]*graph.Element, error) {
 	fq := q.Clone()
 	fq.IDs = ids
-	fq.Limit = 0
 	return g.V(ctx, fq)
 }
 
@@ -129,9 +128,9 @@ func adjKey(vid string, dir graph.Direction) string {
 
 // EdgesForVertices implements graph.BatchBackend. For DirOut/DirIn the miss
 // set resolves with one flat VertexEdges call (one IN-list statement per
-// eligible edge table) partitioned by endpoint; DirBoth and per-vertex
-// limits fall back to per-vertex fetches, since their group semantics
-// cannot be recovered from a flat result.
+// eligible edge table) partitioned by endpoint; DirBoth falls back to
+// per-vertex fetches, since its group semantics cannot be recovered from a
+// flat result.
 func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query) ([][]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -139,8 +138,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	if len(vids) == 0 {
 		return nil, nil
 	}
-	limited := q != nil && q.Limit > 0
-	cacheable := g.cacheableQuery(q) && !limited && (q == nil || len(q.IDs) == 0)
+	cacheable := g.cacheableQuery(q) && (q == nil || len(q.IDs) == 0)
 	out := make([][]*graph.Element, len(vids))
 
 	version := uint64(0)
@@ -173,7 +171,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	}
 
 	groups := make(map[string][]*graph.Element, len(missing))
-	if dir != graph.DirBoth && !limited {
+	if dir != graph.DirBoth {
 		flat, err := g.VertexEdges(ctx, missing, dir, q)
 		if err != nil {
 			return nil, err
@@ -212,8 +210,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 // once, as the SQL IN list does. Only a count the cached groups answer
 // qualifies — unrestricted (cacheableQuery), without ids, on one direction
 // (both() can meet a self-loop twice); any other query gets all of vids
-// back. The caller has already sent limited counts down the materialized
-// path.
+// back.
 func (g *Graph) countFromCache(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
 	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && len(q.IDs) > 0) {
 		return vids, 0

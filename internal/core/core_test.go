@@ -544,7 +544,7 @@ func TestOpenValidatesOverlay(t *testing.T) {
 	}
 }
 
-func TestLimitPushdown(t *testing.T) {
+func TestLimitStepOverLabelScan(t *testing.T) {
 	_, g := newHealthGraph(t, DefaultOptions())
 	objs, err := g.Traversal().V().HasLabel("disease").Limit(2).ToList()
 	if err != nil || len(objs) != 2 {

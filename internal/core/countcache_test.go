@@ -162,8 +162,8 @@ func TestCountFromCachedAdjacencyAfterWrite(t *testing.T) {
 // TestCountFromCachedAdjacencyBypass plants a wrong adjacency group for a
 // vertex: an unrestricted count reads it, which shows the cache is
 // consulted, and every count the group cannot answer — labelled,
-// predicated, projected, id-restricted, limited, both() and snapshot
-// reads — ignores it and matches the materialized count.
+// predicated, projected, id-restricted, both() and snapshot reads —
+// ignores it and matches the materialized count.
 func TestCountFromCachedAdjacencyBypass(t *testing.T) {
 	db, g := newLinkGraph(t, 200)
 	ctx := context.Background()
@@ -200,7 +200,6 @@ func TestCountFromCachedAdjacencyBypass(t *testing.T) {
 		"predicate": {&graph.Query{Preds: []graph.Pred{{Key: "visibility", Op: graph.OpGte, Value: types.NewInt(0)}}}, graph.DirOut},
 		"projected": {&graph.Query{Projection: []string{"data"}}, graph.DirOut},
 		"ids":       {&graph.Query{IDs: []string{edges[0].ID, edges[1].ID}}, graph.DirOut},
-		"limited":   {&graph.Query{Limit: 1 << 20}, graph.DirOut},
 		"both":      {nil, graph.DirBoth},
 	} {
 		got := pushedCount(t, g, []string{vid}, tc.dir, tc.q)

@@ -176,11 +176,10 @@ type sqlBuilder struct {
 	table      string
 	where      []string
 	params     []any
-	limit      int
 	// asOf, when non-zero, reads a system-time snapshot of the table.
 	asOf int64
 	// fullyPushed is true while every query constraint has been expressed
-	// in SQL (enabling aggregate pushdown and SQL LIMIT).
+	// in SQL (enabling aggregate pushdown).
 	fullyPushed bool
 	// eqCols records equality-restricted columns for the index advisor.
 	eqCols []string
@@ -234,9 +233,6 @@ func (b *sqlBuilder) SQL(selectList string) string {
 	if len(b.where) > 0 {
 		sb.WriteString(" WHERE ")
 		sb.WriteString(strings.Join(b.where, " AND "))
-	}
-	if b.limit > 0 && b.fullyPushed {
-		fmt.Fprintf(&sb, " LIMIT %d", b.limit)
 	}
 	return sb.String()
 }

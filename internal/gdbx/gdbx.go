@@ -502,18 +502,13 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		return nil, err
 	}
 	var out []*graph.Element
-	emit := func(v *nativeVertex) bool {
+	emit := func(v *nativeVertex) {
 		if v == nil {
-			return true
+			return
 		}
-		el := vertexElement(v)
-		if q.Matches(el) {
+		if el := vertexElement(v); q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	switch {
 	case q != nil && len(q.IDs) > 0:
@@ -522,25 +517,16 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if err != nil {
 				return nil, err
 			}
-			if !emit(v) {
-				break
-			}
+			emit(v)
 		}
 	case q != nil && len(q.Labels) > 0:
 		for _, label := range q.Labels {
-			stop := false
 			for _, id := range g.labelIdx[label] {
 				v, err := g.getVertexLocked(id)
 				if err != nil {
 					return nil, err
 				}
-				if !emit(v) {
-					stop = true
-					break
-				}
-			}
-			if stop {
-				break
+				emit(v)
 			}
 		}
 	default:
@@ -552,9 +538,7 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if err != nil {
 				return nil, err
 			}
-			if !emit(v) {
-				break
-			}
+			emit(v)
 		}
 	}
 	return out, nil
@@ -589,14 +573,10 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		return nil, err
 	}
 	var out []*graph.Element
-	emit := func(el *graph.Element) bool {
+	emit := func(el *graph.Element) {
 		if el != nil && q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	switch {
 	case q != nil && len(q.IDs) > 0:
@@ -605,25 +585,16 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if err != nil {
 				return nil, err
 			}
-			if !emit(el) {
-				break
-			}
+			emit(el)
 		}
 	case q != nil && len(q.Labels) > 0:
 		for _, label := range q.Labels {
-			stop := false
 			for _, eid := range g.edgeLabelIdx[label] {
 				el, err := g.findEdgeLocked(eid)
 				if err != nil {
 					return nil, err
 				}
-				if !emit(el) {
-					stop = true
-					break
-				}
-			}
-			if stop {
-				break
+				emit(el)
 			}
 		}
 	default:
@@ -638,15 +609,8 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if v == nil {
 				continue
 			}
-			stop := false
 			for _, r := range v.out {
-				if !emit(recToEdge(v.id, r, true)) {
-					stop = true
-					break
-				}
-			}
-			if stop {
-				break
+				emit(recToEdge(v.id, r, true))
 			}
 		}
 	}
@@ -674,7 +638,7 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 		if v == nil {
 			continue
 		}
-		scan := func(recs []edgeRec, isOut bool) bool {
+		scan := func(recs []edgeRec, isOut bool) {
 			for _, r := range recs {
 				if seen[r.edgeID] {
 					continue
@@ -683,46 +647,23 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 				if q.Matches(el) {
 					seen[r.edgeID] = true
 					out = append(out, el)
-					if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-						return false
-					}
 				}
 			}
-			return true
 		}
 		if dir == graph.DirOut || dir == graph.DirBoth {
-			if !scan(v.out, true) {
-				return out, nil
-			}
+			scan(v.out, true)
 		}
 		if dir == graph.DirIn || dir == graph.DirBoth {
-			if !scan(v.in, false) {
-				return out, nil
-			}
+			scan(v.in, false)
 		}
 	}
 	return out, nil
 }
 
-// EdgeVertices implements graph.Backend (aligned for DirOut/DirIn).
+// EdgeVertices implements graph.Backend (aligned with edges).
 func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir graph.Direction, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
-	}
-	if dir == graph.DirBoth {
-		var out []*graph.Element
-		for _, side := range []graph.Direction{graph.DirOut, graph.DirIn} {
-			vs, err := g.EdgeVertices(ctx, edges, side, q)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vs {
-				if v != nil {
-					out = append(out, v)
-				}
-			}
-		}
-		return out, nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -802,7 +743,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 		}
 		var group []*graph.Element
 		seen := map[string]bool{} // dedup within one vertex (self-loops)
-		scan := func(recs []edgeRec, isOut bool) bool {
+		scan := func(recs []edgeRec, isOut bool) {
 			for _, r := range recs {
 				if seen[r.edgeID] {
 					continue
@@ -811,18 +752,11 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 				if q.Matches(el) {
 					seen[r.edgeID] = true
 					group = append(group, el)
-					if q != nil && q.Limit > 0 && len(group) >= q.Limit {
-						return false
-					}
 				}
 			}
-			return true
 		}
 		if dir == graph.DirOut || dir == graph.DirBoth {
-			if !scan(v.out, true) {
-				out[i] = group
-				continue
-			}
+			scan(v.out, true)
 		}
 		if dir == graph.DirIn || dir == graph.DirBoth {
 			scan(v.in, false)

@@ -17,16 +17,15 @@ type BatchBackend interface {
 
 	// VerticesByIDs resolves vertices by id, aligned with ids: out[i] is
 	// the vertex for ids[i], or nil when it does not exist or fails q's
-	// label/predicate filter. ids replaces any q.IDs, and q.Limit is
-	// ignored (alignment makes a count cap ambiguous); q's labels,
+	// label/predicate filter. ids replaces any q.IDs; q's labels,
 	// predicates, and projection apply.
 	VerticesByIDs(ctx context.Context, ids []string, q *Query) ([]*Element, error)
 
 	// EdgesForVertices returns per-vertex incident-edge groups aligned
 	// with vids: out[i] holds exactly what VertexEdges(ctx, []string{vids[i]},
 	// dir, q) would return, in the same order. Unlike one flat VertexEdges
-	// call over all vids, q.Limit applies per vertex and (for DirBoth) an
-	// edge touching two of the given vertices appears in both groups.
+	// call over all vids, for DirBoth an edge touching two of the given
+	// vertices appears in both groups.
 	EdgesForVertices(ctx context.Context, vids []string, dir Direction, q *Query) ([][]*Element, error)
 }
 
@@ -55,7 +54,6 @@ func (f *fallbackBatch) VerticesByIDs(ctx context.Context, ids []string, q *Quer
 	}
 	fq := q.Clone()
 	fq.IDs = uniqueStrings(ids)
-	fq.Limit = 0
 	els, err := f.Backend.V(ctx, fq)
 	if err != nil {
 		return nil, err
@@ -75,12 +73,11 @@ func (f *fallbackBatch) EdgesForVertices(ctx context.Context, vids []string, dir
 	if len(vids) == 0 {
 		return nil, nil
 	}
-	// For DirOut/DirIn without a limit, one flat VertexEdges call over the
-	// whole batch partitions exactly into per-vertex groups (each edge has
-	// one source and one destination), so the adapter stays set-oriented.
-	// DirBoth (cross-vertex dedup differs) and Limit (applies per vertex
-	// here, across the set there) need the per-vertex definition instead.
-	if dir != DirBoth && (q == nil || q.Limit == 0) {
+	// For DirOut/DirIn, one flat VertexEdges call over the whole batch
+	// partitions exactly into per-vertex groups (each edge has one source
+	// and one destination), so the adapter stays set-oriented. DirBoth
+	// (cross-vertex dedup differs) needs the per-vertex definition instead.
+	if dir != DirBoth {
 		flat, err := f.Backend.VertexEdges(ctx, vids, dir, q)
 		if err != nil {
 			return nil, err
@@ -133,9 +130,8 @@ func GroupEdgesByVertex(vids []string, dir Direction, edges []*Element) [][]*Ele
 }
 
 // MatchesFilter evaluates q's label and predicate filters against e,
-// deliberately excluding the ID filter and Limit — the evaluation
-// VerticesByIDs applies (ids replaces q.IDs; alignment excludes a count
-// cap). Nil queries match everything.
+// deliberately excluding the ID filter — the evaluation VerticesByIDs
+// applies (ids replaces q.IDs). Nil queries match everything.
 func (q *Query) MatchesFilter(e *Element) bool {
 	if q == nil {
 		return true

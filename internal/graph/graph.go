@@ -245,8 +245,6 @@ type Query struct {
 	// Projection lists the property keys the caller needs; nil means all
 	// properties, empty non-nil means none.
 	Projection []string
-	// Limit caps the number of returned elements (0 = unlimited).
-	Limit int
 }
 
 // Clone returns a deep-enough copy for safe mutation.
@@ -342,9 +340,8 @@ type Backend interface {
 	VertexEdges(ctx context.Context, vids []string, dir Direction, q *Query) ([]*Element, error)
 	// EdgeVertices resolves, for each edge, the vertex at the given end
 	// (DirOut = source vertex, DirIn = destination vertex), filtered by q.
-	// For DirOut/DirIn the result MUST be aligned with edges: same length,
-	// with nil entries where the vertex was filtered out by q. For DirBoth
-	// the result is a flattened list of both endpoints.
+	// dir is DirOut or DirIn only. The result MUST be aligned with edges:
+	// same length, with nil entries where the vertex was filtered out by q.
 	EdgeVertices(ctx context.Context, edges []*Element, dir Direction, q *Query) ([]*Element, error)
 
 	// AggV computes an aggregate over the vertices matching q without

@@ -113,8 +113,6 @@ func RunBatchConformance(t *testing.T, build func(vertices, edges []*graph.Eleme
 		{},
 		{Labels: []string{"isa"}},
 		{Labels: []string{"hasDisease"}},
-		{Limit: 1}, // per-vertex limit, unlike a flat VertexEdges call
-		{Labels: []string{"isa"}, Limit: 2},
 		{Preds: []graph.Pred{{Key: "description", Op: graph.OpEq, Value: types.NewString("2019")}}},
 	}
 	for si, vids := range vidSets {

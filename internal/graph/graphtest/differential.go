@@ -32,6 +32,9 @@ var differentialScripts = []string{
 	`g.V().outE()`,
 	`g.V().inE('isa').outV()`,
 	`g.V().outE().otherV()`,
+	`g.V().bothE().otherV()`,
+	`g.E().bothV()`,
+	`g.V().outE().bothV().dedup()`,
 	`g.V('p1').out('hasDisease').out('isa')`,
 	`g.V('p1', 'p2', 'p3').out().values('conceptName')`,
 	`g.V().out().limit(2)`,

@@ -192,24 +192,6 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	if n, _ := v.Int(); n != 2 {
 		t.Fatalf("AggVertexEdges count = %v", v)
 	}
-	// A pushed limit caps the whole edge set, across edge tables: p1's and
-	// d11's out-edges (e1, e4) have different labels.
-	els, err = b.VertexEdges(ctx, []string{"p1", "d11"}, graph.DirOut, &graph.Query{Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ids(els); len(got) != 1 || (got[0] != "e1" && got[0] != "e4") {
-		t.Fatalf("outE(p1,d11) limit 1 = %v, want one of e1, e4", got)
-	}
-	for _, limit := range []int{1, 2, 5} {
-		v, err = b.AggVertexEdges(ctx, []string{"p1", "d11"}, graph.DirOut, &graph.Query{Limit: limit}, graph.Agg{Kind: graph.AggCount})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := v.Int(); n != int64(min(limit, 2)) {
-			t.Fatalf("AggVertexEdges count limit %d = %v, want %d", limit, v, min(limit, 2))
-		}
-	}
 	v, _ = b.AggV(ctx, &graph.Query{Labels: []string{"patient"}}, graph.Agg{Kind: graph.AggSum, Key: "subscriptionID"})
 	if f, _ := v.Float(); f != 600 {
 		t.Fatalf("AggV sum = %v", v)
@@ -238,6 +220,7 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	gids("g.V(d10).in", src.V("d10").In(), "d11", "p2")
 	gids("2-hop", src.V("p1").Out("hasDisease").Out("isa"), "d10")
 	gids("getLink", src.V("p1").OutE("hasDisease").Where(gremlin.Anon().InV().HasID("d11")), "e1")
+	CheckBothV(t, src)
 
 	n, err := src.E("e1", "e1").Count().Next()
 	if err != nil {
@@ -309,6 +292,27 @@ func Run(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backe
 	}
 	if len(prof.Steps) == 0 || prof.Steps[len(prof.Steps)-1].Out != 1 {
 		t.Fatalf("script profile() report wrong:\n%s", prof)
+	}
+}
+
+// CheckBothV holds g.E('e1').bothV() on the canonical dataset to its fixed
+// answer: the edge's out-vertex, then its in-vertex. The differential suites
+// compare runs with each other, so they would accept an order every run
+// shares; this check does not.
+func CheckBothV(t *testing.T, src *gremlin.Source) {
+	t.Helper()
+	objs, err := src.E("e1").BothV().ToList()
+	if err != nil {
+		t.Fatalf("g.E('e1').bothV(): %v", err)
+	}
+	var got []string
+	for _, o := range objs {
+		if el, ok := o.(*graph.Element); ok {
+			got = append(got, el.ID)
+		}
+	}
+	if g := strings.Join(got, ","); g != "p1,d11" || len(objs) != 2 {
+		t.Fatalf("g.E('e1').bothV() = %v, want [p1 d11]", objs)
 	}
 }
 

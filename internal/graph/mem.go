@@ -101,20 +101,14 @@ func (m *MemBackend) V(ctx context.Context, q *Query) ([]*Element, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []*Element
-	appendIf := func(el *Element) bool {
+	appendIf := func(el *Element) {
 		if el != nil && q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	if q != nil && len(q.IDs) > 0 {
 		for _, id := range q.IDs {
-			if !appendIf(m.vertices[id]) {
-				break
-			}
+			appendIf(m.vertices[id])
 		}
 		return out, nil
 	}
@@ -122,9 +116,7 @@ func (m *MemBackend) V(ctx context.Context, q *Query) ([]*Element, error) {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
-		if !appendIf(m.vertices[id]) {
-			break
-		}
+		appendIf(m.vertices[id])
 	}
 	return out, nil
 }
@@ -137,20 +129,14 @@ func (m *MemBackend) E(ctx context.Context, q *Query) ([]*Element, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []*Element
-	appendIf := func(el *Element) bool {
+	appendIf := func(el *Element) {
 		if el != nil && q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	if q != nil && len(q.IDs) > 0 {
 		for _, id := range q.IDs {
-			if !appendIf(m.edges[id]) {
-				break
-			}
+			appendIf(m.edges[id])
 		}
 		return out, nil
 	}
@@ -158,9 +144,7 @@ func (m *MemBackend) E(ctx context.Context, q *Query) ([]*Element, error) {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
-		if !appendIf(m.edges[id]) {
-			break
-		}
+		appendIf(m.edges[id])
 	}
 	return out, nil
 }
@@ -175,7 +159,7 @@ func (m *MemBackend) VertexEdges(ctx context.Context, vids []string, dir Directi
 	defer m.mu.RUnlock()
 	var out []*Element
 	seen := map[string]bool{}
-	add := func(eids []string) bool {
+	add := func(eids []string) {
 		for _, eid := range eids {
 			if seen[eid] {
 				continue
@@ -184,52 +168,31 @@ func (m *MemBackend) VertexEdges(ctx context.Context, vids []string, dir Directi
 			if el != nil && q.Matches(el) {
 				seen[eid] = true
 				out = append(out, el)
-				if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-					return false
-				}
 			}
 		}
-		return true
 	}
 	for i, vid := range vids {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
 		if dir == DirOut || dir == DirBoth {
-			if !add(m.out[vid]) {
-				return out, nil
-			}
+			add(m.out[vid])
 		}
 		if dir == DirIn || dir == DirBoth {
-			if !add(m.in[vid]) {
-				return out, nil
-			}
+			add(m.in[vid])
 		}
 	}
 	return out, nil
 }
 
-// EdgeVertices implements Backend. For DirOut/DirIn the result is aligned
-// with edges (nil where the vertex is filtered out); DirBoth flattens both
-// endpoints.
+// EdgeVertices implements Backend. The result is aligned with edges (nil
+// where the vertex is filtered out).
 func (m *MemBackend) EdgeVertices(ctx context.Context, edges []*Element, dir Direction, q *Query) ([]*Element, error) {
 	if err := Interrupted(ctx); err != nil {
 		return nil, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if dir == DirBoth {
-		var out []*Element
-		for _, e := range edges {
-			for _, id := range []string{e.OutV, e.InV} {
-				v := m.vertices[id]
-				if v != nil && q.Matches(v) {
-					out = append(out, v)
-				}
-			}
-		}
-		return out, nil
-	}
 	out := make([]*Element, len(edges))
 	for i, e := range edges {
 		id := e.OutV
@@ -292,7 +255,7 @@ func (m *MemBackend) EdgesForVertices(ctx context.Context, vids []string, dir Di
 			return nil, err
 		}
 		start := len(backing)
-		add := func(eids []string) bool {
+		add := func(eids []string) {
 			for _, eid := range eids {
 				if seen != nil && seen[eid] {
 					continue
@@ -303,12 +266,8 @@ func (m *MemBackend) EdgesForVertices(ctx context.Context, vids []string, dir Di
 						seen[eid] = true
 					}
 					backing = append(backing, el)
-					if q != nil && q.Limit > 0 && len(backing)-start >= q.Limit {
-						return false
-					}
 				}
 			}
-			return true
 		}
 		if dir == DirBoth {
 			if seen == nil {
@@ -318,10 +277,7 @@ func (m *MemBackend) EdgesForVertices(ctx context.Context, vids []string, dir Di
 			}
 		}
 		if dir == DirOut || dir == DirBoth {
-			if !add(m.out[vid]) {
-				out[i] = backing[start:len(backing):len(backing)]
-				continue
-			}
+			add(m.out[vid])
 		}
 		if dir == DirIn || dir == DirBoth {
 			add(m.in[vid])

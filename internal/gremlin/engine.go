@@ -761,10 +761,9 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 	// vertex, so it belongs to exactly one chunk. both() runs as a single
 	// chunk: VertexEdges dedups edges per call, so an edge joining
 	// vertices of two chunks would surface in both calls with a relative
-	// order that depends on the split. A pushed-down element limit also
-	// forces one chunk, since per-chunk limits would over-fetch.
+	// order that depends on the split.
 	nchunks := 1
-	if x.Dir != graph.DirBoth && (x.Query == nil || x.Query.Limit == 0) {
+	if x.Dir != graph.DirBoth {
 		nchunks = ctx.chunkable(len(vids), vertexChunkMin)
 	}
 	return ctx.mapChunks(len(vids), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
@@ -782,8 +781,8 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 // each class is counted in one call, in first-appearance order, and the
 // result is Σ m × count_m. An out()/in() edge has one source (resp.
 // destination) vertex, so the classes partition the counted edges. Other
-// aggregates and pushed limits are not linear in multiplicity and
-// materialize on a duplicated frontier.
+// aggregates are not linear in multiplicity and materialize on a
+// duplicated frontier.
 func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents map[string]travGroup) (types.Value, bool, error) {
 	unique := true
 	for _, ps := range parents {
@@ -796,7 +795,7 @@ func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents map[strin
 		v, err := ctx.backend.AggVertexEdges(ctx.goctx, vids, x.Dir, x.Query, *x.PushAgg)
 		return v, err == nil, err
 	}
-	if x.PushAgg.Kind != graph.AggCount || (x.Query != nil && x.Query.Limit > 0) {
+	if x.PushAgg.Kind != graph.AggCount {
 		return types.Null, false, nil
 	}
 	var mults []int // distinct multiplicities, first-appearance order
@@ -857,13 +856,12 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 	// groups[i] holds the edges attributed to vids[i], preserving the
 	// backend's edge order per vertex.
 	var groups [][]*graph.Element
-	if x.Dir != graph.DirBoth && (x.Query == nil || x.Query.Limit == 0) {
+	if x.Dir != graph.DirBoth {
 		// Vectorized path: one EdgesForVertices multi-get returns the
-		// per-vertex groups directly. For out()/in() without a pushed limit
-		// the groups are exactly the regroup of a flat VertexEdges call (an
-		// edge has one source and one destination, and per-vertex adjacency
-		// order is batch-independent), so results match the scalar path
-		// bit for bit.
+		// per-vertex groups directly. For out()/in() the groups are exactly
+		// the regroup of a flat VertexEdges call (an edge has one source and
+		// one destination, and per-vertex adjacency order is
+		// batch-independent), so results match the scalar path bit for bit.
 		ctx.observeBatch(len(vids))
 		var err error
 		groups, err = ctx.batch.EdgesForVertices(ctx.goctx, vids, x.Dir, x.Query)
@@ -871,9 +869,8 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 			return nil, err
 		}
 	} else {
-		// both() and pushed limits keep the flat fetch: their cross-vertex
-		// dedup and cross-set limit semantics are defined by one call over
-		// the whole (single-chunk) set.
+		// both() keeps the flat fetch: its cross-vertex dedup is defined by
+		// one call over the whole (single-chunk) set.
 		edges, err := ctx.backend.VertexEdges(ctx.goctx, vids, x.Dir, x.Query)
 		if err != nil {
 			return nil, err
@@ -890,16 +887,9 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 			}
 		}
 		for _, e := range edges {
-			switch x.Dir {
-			case graph.DirOut:
-				add(e.OutV, e)
-			case graph.DirIn:
+			add(e.OutV, e)
+			if e.InV != e.OutV {
 				add(e.InV, e)
-			case graph.DirBoth:
-				add(e.OutV, e)
-				if e.InV != e.OutV {
-					add(e.InV, e)
-				}
 			}
 		}
 	}
@@ -1017,12 +1007,8 @@ func runEdgeVertexStep(ctx *execCtx, x *EdgeVertexStep, in []*Traverser) ([]*Tra
 	// EdgeVertices is positional — one result slot per requested edge — so
 	// chunking cannot change what resolves; emission is in wants order
 	// (input-traverser order, outV before inV for bothV), identical for
-	// serial and parallel runs. A pushed-down element limit forces one
-	// chunk, since per-chunk limits would over-fetch.
-	nchunks := 1
-	if q.Limit == 0 {
-		nchunks = ctx.chunkable(len(wants), vertexChunkMin)
-	}
+	// serial and parallel runs.
+	nchunks := ctx.chunkable(len(wants), vertexChunkMin)
 	return ctx.mapChunks(len(wants), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
 		sub := wants[lo:hi]
 		c.observeBatch(len(sub))

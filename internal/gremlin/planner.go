@@ -131,17 +131,13 @@ func labelRows(total int64, q *graph.Query, perLabel func(string) int64) int64 {
 	return n
 }
 
-// applyQueryEst folds predicate selectivity and the limit cap into a row
-// estimate.
+// applyQueryEst folds predicate selectivity into a row estimate.
 func applyQueryEst(rows float64, q *graph.Query) float64 {
 	if q == nil || rows < 0 {
 		return rows
 	}
 	for range q.Preds {
 		rows *= predSelectivity
-	}
-	if q.Limit > 0 && rows > float64(q.Limit) {
-		rows = float64(q.Limit)
 	}
 	return rows
 }

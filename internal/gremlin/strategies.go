@@ -254,7 +254,7 @@ func setPushAgg(s Step, agg graph.Agg) bool {
 }
 
 func queryIsEmpty(q *graph.Query) bool {
-	return len(q.IDs) == 0 && len(q.Labels) == 0 && len(q.Preds) == 0 && q.Limit == 0
+	return len(q.IDs) == 0 && len(q.Labels) == 0 && len(q.Preds) == 0
 }
 
 // GraphStepVertexStepStrategy fuses g.V(ids).outE(...)-style prefixes: the
@@ -278,7 +278,7 @@ func (GraphStepVertexStepStrategy) Apply(steps []Step) []Step {
 	// Only fuse when the GraphStep is a pure id lookup: any label or
 	// property restriction must be evaluated against the vertices.
 	if gs.Query == nil || len(gs.Query.IDs) == 0 || len(gs.Query.Labels) > 0 ||
-		len(gs.Query.Preds) > 0 || gs.Query.Limit > 0 {
+		len(gs.Query.Preds) > 0 {
 		return steps
 	}
 	vs, ok := steps[1].(*VertexStep)

@@ -171,7 +171,6 @@ func TestGraphOpRoundTrip(t *testing.T) {
 				nil,
 				{Labels: []string{"isa"}},
 				{Preds: []graph.Pred{{Key: "description", Op: graph.OpEq, Value: types.NewString("2019")}}},
-				{Limit: 2},
 			} {
 				want, err := m.AggVertexEdges(ctx, vids, dir, q, graph.Agg{Kind: graph.AggCount})
 				if err != nil {

@@ -4,8 +4,7 @@
 // The primary serializes every accepted mutation into an oplog — a
 // wal-format record log of seq-stamped graph ops — and streams it to the
 // follower over a long-lived "!replicate" subscription (the oplog is tailed
-// with wal.StreamFrom, the same machinery the kvstore-level physical
-// WAL shipping uses). The follower applies each op through the backend's
+// with wal.StreamFrom). The follower applies each op through the backend's
 // normal mutation path (idempotently: ops at or below its last applied seq
 // are skipped), appends it to its own oplog so it can serve as a
 // replication source after promotion, and acknowledges the applied seq back

@@ -589,14 +589,10 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		return nil, err
 	}
 	var out []*graph.Element
-	emit := func(el *graph.Element) bool {
+	emit := func(el *graph.Element) {
 		if el != nil && q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	if q != nil && len(q.IDs) > 0 {
 		for _, id := range q.IDs {
@@ -604,30 +600,21 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if err != nil {
 				return nil, err
 			}
-			if !emit(el) {
-				break
-			}
+			emit(el)
 		}
 		return out, nil
 	}
 	if q != nil && len(q.Labels) > 0 {
 		for _, label := range q.Labels {
 			prefix := lvPrefix + label + "/"
-			stop := false
 			g.scanUnlocked(prefix, func(key, _ string) bool {
 				el, err := g.getVertex(key[len(prefix):])
 				if err != nil {
 					el = nil
 				}
-				if !emit(el) {
-					stop = true
-					return false
-				}
+				emit(el)
 				return true
 			})
-			if stop {
-				break
-			}
 		}
 		return out, nil
 	}
@@ -644,7 +631,8 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			decodeErr = err
 			return false
 		}
-		return emit(el)
+		emit(el)
+		return true
 	})
 	return out, decodeErr
 }
@@ -673,14 +661,10 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		return nil, err
 	}
 	var out []*graph.Element
-	emit := func(el *graph.Element) bool {
+	emit := func(el *graph.Element) {
 		if el != nil && q.Matches(el) {
 			out = append(out, el)
-			if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-				return false
-			}
 		}
-		return true
 	}
 	if q != nil && len(q.IDs) > 0 {
 		for _, id := range q.IDs {
@@ -688,9 +672,7 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 			if err != nil {
 				return nil, err
 			}
-			if !emit(el) {
-				break
-			}
+			emit(el)
 		}
 		return out, nil
 	}
@@ -704,24 +686,15 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		}
 		for i, e := range snap.entries {
 			if e.dir == 0 && e.edgeID == eid {
-				return emit(snap.els[i])
+				emit(snap.els[i])
+				break
 			}
 		}
 		return true
 	}
 	if q != nil && len(q.Labels) > 0 {
 		for _, label := range q.Labels {
-			stop := false
-			g.scanUnlocked(lePrefix+label+"/", func(key, owner string) bool {
-				if !scanOwner(key, owner) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			if stop {
-				break
-			}
+			g.scanUnlocked(lePrefix+label+"/", scanOwner)
 		}
 		return out, nil
 	}
@@ -810,34 +783,16 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 			if q.Matches(el) {
 				seen[e.edgeID] = true
 				out = append(out, el)
-				if q != nil && q.Limit > 0 && len(out) >= q.Limit {
-					return out, nil
-				}
 			}
 		}
 	}
 	return out, nil
 }
 
-// EdgeVertices implements graph.Backend (aligned for DirOut/DirIn).
+// EdgeVertices implements graph.Backend (aligned with edges).
 func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir graph.Direction, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
-	}
-	if dir == graph.DirBoth {
-		var out []*graph.Element
-		for _, side := range []graph.Direction{graph.DirOut, graph.DirIn} {
-			vs, err := g.EdgeVertices(ctx, edges, side, q)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vs {
-				if v != nil {
-					out = append(out, v)
-				}
-			}
-		}
-		return out, nil
 	}
 	ids := make([]string, len(edges))
 	for i, e := range edges {
@@ -881,8 +836,7 @@ func (g *Graph) VerticesByIDs(ctx context.Context, ids []string, q *graph.Query)
 
 // EdgesForVertices implements graph.BatchBackend natively: the batch's
 // adjacency blobs resolve with one sorted multi-get, then each group is
-// built with exactly VertexEdges' per-vertex semantics (per-vid dedup and
-// limit).
+// built with exactly VertexEdges' per-vertex semantics (per-vid dedup).
 func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query) ([][]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -929,9 +883,6 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 					seen[e.edgeID] = true
 				}
 				backing = append(backing, el)
-				if q != nil && q.Limit > 0 && len(backing)-start >= q.Limit {
-					break
-				}
 			}
 		}
 		if len(backing) > start {

@@ -1,19 +1,17 @@
 package wal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
-	"time"
 )
 
 // ErrCursorGone reports that the records a cursor points at no longer exist:
 // retention (RemoveGenerations) deleted the cursor's generation, or the
 // primary crash-truncated the log below the cursor's offset. The follower's
 // incremental position is unrecoverable; it must re-bootstrap from the
-// newest snapshot (see kvstore.Bootstrap) and resume from there.
+// newest snapshot and resume from there.
 var ErrCursorGone = errors.New("wal: cursor generation removed or truncated; re-bootstrap from snapshot")
 
 // Cursor is a replication position in a generational WAL directory: byte
@@ -126,66 +124,5 @@ func StreamFrom(fsys VFS, dir string, cur Cursor, fn func(payload []byte, next C
 			return cur, nil
 		}
 		cur = Cursor{Gen: next}
-	}
-}
-
-// End returns the cursor just past the last byte of the newest WAL
-// generation — the position a fully caught-up follower would hold. The
-// distance from a follower's cursor to End is its replication lag.
-func End(fsys VFS, dir string) (Cursor, error) {
-	_, wals, err := ListGenerations(fsys, dir)
-	if err != nil {
-		return Cursor{}, err
-	}
-	if len(wals) == 0 {
-		return Cursor{}, nil
-	}
-	g := wals[len(wals)-1]
-	data, err := fsys.ReadFile(Join(dir, WALName(g)))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return Cursor{Gen: g}, nil
-		}
-		return Cursor{}, fmt.Errorf("%w: read %s: %w", ErrIO, WALName(g), err)
-	}
-	return Cursor{Gen: g, Off: int64(len(data))}, nil
-}
-
-// LagBytes estimates how many committed bytes separate cur from end. Within
-// one generation it is exact; across a rotation the sealed remainder is
-// already counted in cur's generation file, so the estimate only sums the
-// newer generation's bytes (close enough for lag gauges and stale-bounded
-// read admission, which only need monotone shrink-to-zero).
-func LagBytes(cur, end Cursor) int64 {
-	if !cur.Less(end) {
-		return 0
-	}
-	if cur.Gen == end.Gen {
-		return end.Off - cur.Off
-	}
-	return end.Off
-}
-
-// Follow tails the directory: it streams records from cur, polling every
-// poll interval for new appends and rotations, until ctx is done or the
-// stream fails. fn sees each payload exactly once with its resume cursor.
-// The returned cursor is where a later Follow/StreamFrom should resume.
-func Follow(ctx context.Context, fsys VFS, dir string, cur Cursor, poll time.Duration, fn func(payload []byte, next Cursor) error) (Cursor, error) {
-	if poll <= 0 {
-		poll = 2 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		next, err := StreamFrom(fsys, dir, cur, fn)
-		cur = next
-		if err != nil {
-			return cur, err
-		}
-		select {
-		case <-ctx.Done():
-			return cur, ctx.Err()
-		case <-t.C:
-		}
 	}
 }
