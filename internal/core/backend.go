@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
 	"db2graph/internal/graph"
 	"db2graph/internal/overlay"
-	"db2graph/internal/sql/engine"
 	"db2graph/internal/sql/types"
 )
 
@@ -38,13 +38,9 @@ func predSQL(b *sqlBuilder, g *Graph, table, col string, p graph.Pred) {
 	case graph.OpGte:
 		b.addWhere(col+" >= ?", g.coercePredValue(table, col, p.Value))
 	case graph.OpWithin:
-		vals := make([]any, len(p.Values))
+		vals := make([]types.Value, len(p.Values))
 		for i, v := range p.Values {
 			vals[i] = g.coercePredValue(table, col, v)
-		}
-		if len(vals) == 0 {
-			b.addWhere("1 = 0")
-			return
 		}
 		b.inList(col, vals)
 	}
@@ -137,7 +133,7 @@ func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query, ids *
 	// Labels.
 	if len(q.Labels) > 0 {
 		if fixed, ok := vm.FixedLabel(); ok {
-			if !labelIn(q.Labels, fixed) {
+			if !slices.Contains(q.Labels, fixed) {
 				if g.opts.LabelPruning {
 					p.possible = false
 					return p
@@ -145,7 +141,7 @@ func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query, ids *
 				b.fullyPushed = false // rows fetched then dropped by Matches
 			}
 		} else {
-			vals := make([]any, len(q.Labels))
+			vals := make([]types.Value, len(q.Labels))
 			for i, l := range q.Labels {
 				vals[i] = types.NewString(l)
 			}
@@ -243,15 +239,6 @@ func neededProps(all []string, q *graph.Query) []string {
 		}
 	}
 	return out
-}
-
-func labelIn(labels []string, l string) bool {
-	for _, x := range labels {
-		if x == l {
-			return true
-		}
-	}
-	return false
 }
 
 // runVertexPlan executes a plan and builds elements.
@@ -415,7 +402,7 @@ func (g *Graph) planEdgeFetch(em *overlay.EdgeMapping, q *graph.Query) *edgePlan
 
 	if len(q.Labels) > 0 {
 		if fixed, ok := em.FixedLabel(); ok {
-			if !labelIn(q.Labels, fixed) {
+			if !slices.Contains(q.Labels, fixed) {
 				if g.opts.LabelPruning {
 					p.possible = false
 					return p
@@ -423,7 +410,7 @@ func (g *Graph) planEdgeFetch(em *overlay.EdgeMapping, q *graph.Query) *edgePlan
 				b.fullyPushed = false
 			}
 		} else {
-			vals := make([]any, len(q.Labels))
+			vals := make([]types.Value, len(q.Labels))
 			for i, l := range q.Labels {
 				vals[i] = types.NewString(l)
 			}
@@ -606,7 +593,7 @@ func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids *idMemo) {
 		return
 	}
 	var groups []string
-	var params []any
+	var params []types.Value
 	for _, id := range ids.ids {
 		src, label, dst, ok := em.MatchImplicitEdgeID(id)
 		if !ok {
@@ -637,7 +624,10 @@ func (g *Graph) addEdgeIDRestriction(p *edgePlan, ids *idMemo) {
 		p.possible = false
 		return
 	}
-	b.addWhere("("+strings.Join(groups, " OR ")+")", params...)
+	b.addWhere("(" + strings.Join(groups, " OR ") + ")")
+	for _, v := range params {
+		b.params = append(b.params, v)
+	}
 }
 
 // E implements graph.Backend. Like V, it copies an edge once per occurrence
@@ -787,7 +777,7 @@ func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir gr
 		// A pushed-down id restriction filters the target vertices; the
 		// group fetch below rewrites q.IDs to the endpoint ids, so apply
 		// the original restriction here.
-		if len(q.IDs) > 0 && !idIn(q.IDs, vid) {
+		if len(q.IDs) > 0 && !slices.Contains(q.IDs, vid) {
 			continue
 		}
 		em, _ := e.Ref.(*overlay.EdgeMapping)
@@ -1243,15 +1233,3 @@ var _ graph.Backend = (*Graph)(nil)
 // Stats returns the dialect's tracked SQL patterns — useful to observe the
 // statement cache and feed the index advisor.
 func (g *Graph) Stats() []PatternStat { return g.dialect.Patterns() }
-
-// EngineStats surfaces the relational engine's table statistics.
-func (g *Graph) EngineStats() []engine.TableStats { return g.db.Stats() }
-
-func idIn(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}

@@ -66,7 +66,7 @@ func DefaultOptions() Options {
 //
 // Safe for concurrent use: the overlay topology, column-type, compiled-id
 // and edge-meta caches are built in Open and read-only afterwards (the
-// compiled ids' fragment caches fill atomically); the SQL engine admits
+// compiled ids' fragments are rendered there too); the SQL engine admits
 // concurrent readers (engine.Database takes no lock on reads), and the
 // statement cache behind Dialect is RWMutex-guarded. Scan order follows the
 // backing tables, so results are deterministic and per-vertex adjacency
@@ -199,17 +199,11 @@ func (g *Graph) buildEdgeMeta(em *overlay.EdgeMapping, ids *idCompiler) *edgeMet
 	return meta
 }
 
-// Database returns the underlying relational database.
-func (g *Graph) Database() *engine.Database { return g.db }
-
 // Topology returns the resolved overlay topology.
 func (g *Graph) Topology() *overlay.Topology { return g.topo }
 
 // Dialect returns the SQL dialect module (statement cache, index advisor).
 func (g *Graph) Dialect() *Dialect { return g.dialect }
-
-// Options returns the active optimization flags.
-func (g *Graph) Options() Options { return g.opts }
 
 // Traversal returns a Gremlin traversal source over this graph, equipped
 // with the optimized traversal strategies of Section 6.2.
@@ -292,7 +286,7 @@ func (g *Graph) columnType(table, col string) types.Kind {
 }
 
 // coercePredValue converts a pushdown predicate value to the column type.
-func (g *Graph) coercePredValue(table, col string, v types.Value) any {
+func (g *Graph) coercePredValue(table, col string, v types.Value) types.Value {
 	kind := g.columnType(table, col)
 	if kind != types.KindNull && v.Kind != kind {
 		if cv, err := types.CoerceTo(v, kind); err == nil {

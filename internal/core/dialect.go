@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"db2graph/internal/sql/engine"
+	"db2graph/internal/sql/types"
 )
 
 // Dialect is the SQL Dialect module: it generates the SQL for graph
@@ -194,29 +195,9 @@ func (b *sqlBuilder) addWhere(fragment string, params ...any) {
 	b.params = append(b.params, params...)
 }
 
-// inList builds "col IN (?, ?, ...)", padding the list to the next power of
-// two (repeating the final value) so repeated queries with slightly
-// different fan-outs share one pre-compiled template.
-func (b *sqlBuilder) inList(col string, vals []any) {
-	n := len(vals)
-	if n == 1 {
-		b.addWhere(col+" = ?", vals[0])
-		b.eqCols = append(b.eqCols, col)
-		return
-	}
-	padded := 1
-	for padded < n {
-		padded *= 2
-	}
-	marks := make([]string, padded)
-	for i := range marks {
-		marks[i] = "?"
-	}
-	b.addWhere(col+" IN ("+strings.Join(marks, ", ")+")", vals...)
-	last := vals[n-1]
-	for i := n; i < padded; i++ {
-		b.params = append(b.params, last)
-	}
+// inList binds vals as one list to "col IN (?)": one text for every length.
+func (b *sqlBuilder) inList(col string, vals []types.Value) {
+	b.addWhere(col+" IN (?)", vals)
 	b.eqCols = append(b.eqCols, col)
 }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/bits"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"db2graph/internal/overlay"
 	"db2graph/internal/sql/types"
@@ -15,9 +13,9 @@ import (
 // optimizations exist to generate less SQL; this makes generating it cheap.
 // An idCodec decodes an id value into the coerced column values its
 // expression binds; an idAccess pairs a codec with the expression's column
-// names and caches the WHERE fragments rendered from them. A backend call
-// decodes its id list once per distinct codec (idMemo), and every table
-// whose expression shares the codec reuses the result.
+// names and the WHERE fragment rendered from them. A backend call decodes
+// its id list once per distinct codec (idMemo), and every table whose
+// expression shares the codec binds the same decoded list.
 
 // idCodec is an id expression with everything but the id value resolved:
 // its arity, its constant terms and the kind each column term coerces to.
@@ -39,7 +37,7 @@ type codecTerm struct {
 // comes back at its original length, when the arity or a constant term does
 // not match. Parts split on '::' and unescape only when they contain '%',
 // exactly as overlay.DecomposeID would.
-func (c *idCodec) decode(dst []any, id string) ([]any, bool) {
+func (c *idCodec) decode(dst []types.Value, id string) ([]types.Value, bool) {
 	switch len(c.terms) {
 	case 0:
 		return dst, false
@@ -74,7 +72,7 @@ func (c *idCodec) decode(dst []any, id string) ([]any, bool) {
 // bind matches one escaped id part against the term: a constant must equal
 // it, a column term appends the part coerced to the column's kind. A part
 // the kind cannot parse stays a string, so SQL equality simply fails.
-func (t *codecTerm) bind(dst []any, raw string) ([]any, bool) {
+func (t *codecTerm) bind(dst []types.Value, raw string) ([]types.Value, bool) {
 	part := raw
 	if strings.IndexByte(raw, '%') >= 0 {
 		part = overlay.UnescapePart(raw)
@@ -92,18 +90,15 @@ func (t *codecTerm) bind(dst []any, raw string) ([]any, bool) {
 }
 
 // idAccess is one id expression bound for SQL: its interned codec, the
-// columns its column terms name, and the fragments rendered from them.
+// columns its column terms name, and the fragment rendered from them.
 // Accesses are interned by codec and column names, so every table that
-// restricts the same column the same way shares one fragment cache.
+// restricts the same column the same way shares one fragment.
 type idAccess struct {
 	codec *idCodec
 	cols  []string
-	// group is one id's conjunction, "(c1 = ? AND c2 = ?)", when the
-	// expression has several column terms.
-	group string
-	// in caches the single-column fragment for a list padded to 2^i
-	// values: "col = ?" at i = 0, "col IN (?, ...)" above.
-	in [32]atomic.Pointer[string]
+	// fragment is "col IN (?)" for one column term, or one id's
+	// conjunction "(c1 = ? AND c2 = ?)" for several.
+	fragment string
 }
 
 // restrict restricts b to the ids in m that x can decode, marking the
@@ -119,10 +114,9 @@ func (x *idAccess) restrict(b *sqlBuilder, m *idMemo) bool {
 
 // where adds to b the restriction matching any decoded id and reports
 // whether some id can match at all (false: the table is skippable). It adds
-// nothing when an all-constant expression matches. A single column becomes
-// "col = ?" or an IN list padded to the next power of two by repeating the
-// last value, so fan-outs of similar size share one statement template;
-// several columns become OR'd conjunctions.
+// nothing when an all-constant expression matches. A single column binds
+// the decoded values as one list to "col IN (?)", so every fan-out shares
+// one statement; several columns become OR'd conjunctions.
 func (x *idAccess) where(b *sqlBuilder, d decodedIDs) bool {
 	switch {
 	case d.n == 0:
@@ -130,55 +124,21 @@ func (x *idAccess) where(b *sqlBuilder, d decodedIDs) bool {
 	case len(x.cols) == 0:
 		return true
 	case len(x.cols) == 1:
-		padded := 1
-		for padded < d.n {
-			padded *= 2
-		}
-		b.addWhere(x.inFragment(padded), d.vals...)
-		for i := d.n; i < padded; i++ {
-			b.params = append(b.params, d.vals[d.n-1])
-		}
+		b.addWhere(x.fragment, d.vals)
 	default:
-		var sb strings.Builder
-		sb.Grow(2 + d.n*(len(x.group)+4))
-		sb.WriteByte('(')
-		for i := 0; i < d.n; i++ {
-			if i > 0 {
-				sb.WriteString(" OR ")
-			}
-			sb.WriteString(x.group)
+		b.addWhere("(" + strings.Repeat(x.fragment+" OR ", d.n-1) + x.fragment + ")")
+		for _, v := range d.vals {
+			b.params = append(b.params, v)
 		}
-		sb.WriteByte(')')
-		b.addWhere(sb.String(), d.vals...)
 	}
 	return true
-}
-
-// inFragment returns the single-column fragment for a list padded to
-// padded values (a power of two), rendering it on first use.
-func (x *idAccess) inFragment(padded int) string {
-	slot := bits.Len(uint(padded)) - 1
-	if slot < len(x.in) {
-		if f := x.in[slot].Load(); f != nil {
-			return *f
-		}
-	}
-	col := x.cols[0]
-	f := col + " = ?"
-	if padded > 1 {
-		f = col + " IN (?" + strings.Repeat(", ?", padded-1) + ")"
-	}
-	if slot < len(x.in) {
-		x.in[slot].Store(&f)
-	}
-	return f
 }
 
 // decodedIDs is an id list decoded by one codec: the column values of the
 // n ids that matched, codec.ncols values each, in id order.
 type decodedIDs struct {
 	codec *idCodec
-	vals  []any
+	vals  []types.Value
 	n     int
 }
 
@@ -199,7 +159,7 @@ func (m *idMemo) decode(c *idCodec) decodedIDs {
 	}
 	d := decodedIDs{codec: c}
 	if c.ncols > 0 {
-		d.vals = make([]any, 0, len(m.ids)*c.ncols)
+		d.vals = make([]types.Value, 0, len(m.ids)*c.ncols)
 	}
 	for _, id := range m.ids {
 		var ok bool
@@ -253,12 +213,14 @@ func (ic *idCompiler) compile(table string, expr overlay.IDExpr) *idAccess {
 		return x
 	}
 	x := &idAccess{codec: c, cols: cols}
-	if len(cols) > 1 {
+	if len(cols) == 1 {
+		x.fragment = cols[0] + " IN (?)"
+	} else if len(cols) > 1 {
 		conj := make([]string, len(cols))
 		for i, col := range cols {
 			conj[i] = col + " = ?"
 		}
-		x.group = "(" + strings.Join(conj, " AND ") + ")"
+		x.fragment = "(" + strings.Join(conj, " AND ") + ")"
 	}
 	ic.accesses[sig.String()] = x
 	return x

@@ -127,11 +127,11 @@ func TestIDCodecInterning(t *testing.T) {
 func checkCodec(t *testing.T, g *Graph, x *idAccess, expr overlay.IDExpr, src, id string) {
 	t.Helper()
 	want, wantOK := refDecomposeID(g, "T", expr, id)
-	got, gotOK := x.codec.decode([]any{"sentinel"}, id)
+	got, gotOK := x.codec.decode([]types.Value{types.NewString("sentinel")}, id)
 	if gotOK != wantOK {
 		t.Fatalf("%s on %q: codec ok=%v, reference ok=%v", src, id, gotOK, wantOK)
 	}
-	if got[0] != "sentinel" || (!gotOK && len(got) != 1) {
+	if got[0] != types.NewString("sentinel") || (!gotOK && len(got) != 1) {
 		t.Fatalf("%s on %q: codec clobbered or leaked into dst: %v", src, id, got)
 	}
 	if !gotOK {
@@ -142,7 +142,7 @@ func checkCodec(t *testing.T, g *Graph, x *idAccess, expr overlay.IDExpr, src, i
 		t.Fatalf("%s on %q: codec bound %v, reference %v", src, id, got, want)
 	}
 	for i := range got {
-		gv, wv := got[i].(types.Value), want[i].(types.Value)
+		gv, wv := got[i], want[i].(types.Value)
 		if gv.Kind != wv.Kind || gv.I != wv.I || gv.S != wv.S || math.Float64bits(gv.F) != math.Float64bits(wv.F) {
 			t.Fatalf("%s on %q: value %d is %#v, reference %#v", src, id, i, gv, wv)
 		}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"db2graph/internal/graph"
 	"db2graph/internal/gremlin"
 	"db2graph/internal/overlay"
 	"db2graph/internal/sql/engine"
@@ -88,7 +91,7 @@ func TestGeneratedSQLMatchesPaperShapes(t *testing.T) {
 	if gremlin.Display(n) != "2" {
 		t.Fatalf("count = %v", gremlin.Display(n))
 	}
-	if sql := findSQL("SELECT COUNT(*)", "FROM EdgeTable", "src_v IN (?, ?)", "metIn = ?"); sql == "" {
+	if sql := findSQL("SELECT COUNT(*)", "FROM EdgeTable", "src_v IN (?)", "metIn = ?"); sql == "" {
 		t.Fatalf("combined pushdown SQL missing; have %+v", g.Stats())
 	}
 	// Exactly one new SQL template appeared for the whole query.
@@ -117,5 +120,68 @@ func TestGeneratedSQLMatchesPaperShapes(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("naive execution should fetch vertices; have %+v", g.Stats())
+	}
+}
+
+// TestOneStatementPerTableShape holds the frontier to one bound list: id
+// fetches, edge fetches and edge counts over frontiers of 1, 3, 64 and 200
+// ids each issue one statement text per table, so the dialect tracks one
+// pattern per (table, shape), used once per frontier.
+func TestOneStatementPerTableShape(t *testing.T) {
+	db := engine.New()
+	if err := db.ExecScript(`
+		CREATE TABLE VertexTable (id BIGINT PRIMARY KEY, name VARCHAR(50));
+		CREATE TABLE EdgeTable (src_v BIGINT NOT NULL, dst_v BIGINT NOT NULL, PRIMARY KEY (src_v, dst_v));
+		CREATE INDEX idx_e_src ON EdgeTable (src_v);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if _, err := db.Exec("INSERT INTO VertexTable VALUES (?, ?)", i, fmt.Sprint("v", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec("INSERT INTO EdgeTable VALUES (?, ?)", i, (i+1)%256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := &overlay.Config{
+		VTables: []overlay.VTable{{TableName: "VertexTable", ID: "id", FixLabel: true, Label: "'v'", Properties: []string{"name"}}},
+		ETables: []overlay.ETable{{
+			TableName: "EdgeTable", SrcVTable: "VertexTable", SrcV: "src_v", DstVTable: "VertexTable", DstV: "dst_v",
+			ImplicitEdgeID: true, FixLabel: true, Label: "'e'",
+		}},
+	}
+	g, err := Open(db, cfg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sizes := []int{1, 3, 64, 200}
+	for _, n := range sizes {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprint(i)
+		}
+		vs, err := g.V(ctx, &graph.Query{IDs: ids})
+		if err != nil || len(vs) != n {
+			t.Fatalf("V over %d ids = %d vertices, %v", n, len(vs), err)
+		}
+		es, err := g.VertexEdges(ctx, ids, graph.DirOut, nil)
+		if err != nil || len(es) != n {
+			t.Fatalf("out edges of %d ids = %d, %v", n, len(es), err)
+		}
+		c, err := g.AggVertexEdges(ctx, ids, graph.DirOut, nil, graph.Agg{Kind: graph.AggCount})
+		if err != nil || c.I != int64(n) {
+			t.Fatalf("out edge count of %d ids = %v, %v", n, c, err)
+		}
+	}
+	pats := g.Stats()
+	if len(pats) != 3 {
+		t.Fatalf("%d patterns, want one each for the vertex fetch, edge fetch and edge count: %+v", len(pats), pats)
+	}
+	for _, p := range pats {
+		if p.Count != int64(len(sizes)) || !strings.Contains(p.SQL, " IN (?)") {
+			t.Fatalf("pattern %+v: want one list-bound IN (?) statement used %d times", p, len(sizes))
+		}
 	}
 }

@@ -132,7 +132,7 @@ func (db *Database) Table(name string) *storage.Table {
 
 // execContext builds the per-execution context. ctx carries the statement's
 // deadline and cancellation (nil means context.Background()).
-func (db *Database) execContext(ctx context.Context, params []types.Value) *exec.Context {
+func (db *Database) execContext(ctx context.Context, params exec.Params) *exec.Context {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -194,16 +194,40 @@ func (r *Rows) Value() (types.Value, error) {
 	return r.data[0][0], nil
 }
 
-func convertArgs(args []any) ([]types.Value, error) {
-	out := make([]types.Value, len(args))
+// bindArgs binds Go arguments to the ? markers of the statement sql. A
+// []types.Value argument binds a list, which only a marker that is the
+// whole operand of IN accepts; listOK flags those markers, and is computed
+// from sql when nil.
+func bindArgs(sql string, listOK []bool, args []any) (exec.Params, error) {
+	p := exec.Params{Vals: make([]types.Value, len(args))}
 	for i, a := range args {
-		v, err := types.FromGo(a)
-		if err != nil {
-			return nil, err
+		list, isList := a.([]types.Value)
+		if !isList {
+			v, err := types.FromGo(a)
+			if err != nil {
+				return p, err
+			}
+			p.Vals[i] = v
+			continue
 		}
-		out[i] = v
+		if listOK == nil {
+			var err error
+			if listOK, err = parser.ListParams(sql); err != nil {
+				return p, err
+			}
+		}
+		if i >= len(listOK) || !listOK[i] {
+			return p, fmt.Errorf("sql: parameter %d is bound to a list but is not the whole operand of IN (?)", i+1)
+		}
+		if p.Lists == nil {
+			p.Lists = make([][]types.Value, len(args))
+		}
+		if list == nil {
+			list = []types.Value{}
+		}
+		p.Lists[i] = list
 	}
-	return out, nil
+	return p, nil
 }
 
 // --- Query / Exec ---
@@ -217,7 +241,7 @@ func (db *Database) Query(sql string, args ...any) (*Rows, error) {
 // cancellation; execution checks it between row batches and passes it to
 // table functions.
 func (db *Database) QueryCtx(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	params, err := convertArgs(args)
+	params, err := bindArgs(sql, nil, args)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +256,7 @@ func (db *Database) QueryCtx(ctx context.Context, sql string, args ...any) (*Row
 	return db.runSelect(ctx, sel, params)
 }
 
-func (db *Database) runSelect(ctx context.Context, sel *parser.SelectStmt, params []types.Value) (*Rows, error) {
+func (db *Database) runSelect(ctx context.Context, sel *parser.SelectStmt, params exec.Params) (*Rows, error) {
 	node, err := plan.Select(db, sel)
 	if err != nil {
 		return nil, err
@@ -247,7 +271,7 @@ func (db *Database) runSelect(ctx context.Context, sel *parser.SelectStmt, param
 // Exec parses and runs any statement, returning the number of affected rows
 // (0 for DDL; the result size for SELECT).
 func (db *Database) Exec(sql string, args ...any) (int, error) {
-	params, err := convertArgs(args)
+	params, err := bindArgs(sql, nil, args)
 	if err != nil {
 		return 0, err
 	}
@@ -266,7 +290,7 @@ func (db *Database) ExecScript(sql string) error {
 		return err
 	}
 	for _, stmt := range stmts {
-		if _, err := db.execStmt(stmt, nil, nil); err != nil {
+		if _, err := db.execStmt(stmt, exec.Params{}, nil); err != nil {
 			return err
 		}
 	}
@@ -274,7 +298,7 @@ func (db *Database) ExecScript(sql string) error {
 }
 
 // execStmt dispatches one statement. tx is non-nil inside a transaction.
-func (db *Database) execStmt(stmt parser.Statement, params []types.Value, tx *Tx) (int, error) {
+func (db *Database) execStmt(stmt parser.Statement, params exec.Params, tx *Tx) (int, error) {
 	switch stmt.(type) {
 	case *parser.InsertStmt, *parser.UpdateStmt, *parser.DeleteStmt,
 		*parser.CreateTableStmt, *parser.CreateIndexStmt, *parser.CreateViewStmt,
@@ -292,11 +316,11 @@ func (db *Database) execStmt(stmt parser.Statement, params []types.Value, tx *Tx
 		}
 		return rows.Len(), nil
 	case *parser.InsertStmt:
-		return db.execInsert(s, params, tx)
+		return db.execInsert(s, &params, tx)
 	case *parser.UpdateStmt:
-		return db.execUpdate(s, params, tx)
+		return db.execUpdate(s, &params, tx)
 	case *parser.DeleteStmt:
-		return db.execDelete(s, params, tx)
+		return db.execDelete(s, &params, tx)
 	case *parser.CreateTableStmt:
 		return 0, db.execCreateTable(s)
 	case *parser.CreateIndexStmt:
@@ -414,7 +438,7 @@ func (db *Database) execDrop(s *parser.DropStmt) error {
 // undoEntry reverses one storage mutation.
 type undoEntry func() error
 
-func (db *Database) execInsert(s *parser.InsertStmt, params []types.Value, tx *Tx) (int, error) {
+func (db *Database) execInsert(s *parser.InsertStmt, params *exec.Params, tx *Tx) (int, error) {
 	tbl, schema, ok := db.LookupTable(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("sql: unknown table %s", s.Table)
@@ -540,7 +564,7 @@ func (db *Database) checkForeignKeys(schema *catalog.TableSchema, row storage.Ro
 // matchingRows evaluates a WHERE predicate over a table, returning RowIDs.
 // Point predicates covering the full primary key short-circuit to a direct
 // lookup instead of scanning.
-func matchingRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.Expr, params []types.Value) ([]storage.RowID, error) {
+func matchingRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.Expr, params *exec.Params) ([]storage.RowID, error) {
 	if ids, ok, err := pkLookupRows(tbl, schema, where, params); ok || err != nil {
 		return ids, err
 	}
@@ -574,7 +598,7 @@ func matchingRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.
 // pkLookupRows recognizes WHERE clauses that are a conjunction of equality
 // predicates covering exactly the table's primary key with constant (or
 // parameter) values, and resolves them with one PK probe.
-func pkLookupRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.Expr, params []types.Value) ([]storage.RowID, bool, error) {
+func pkLookupRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.Expr, params *exec.Params) ([]storage.RowID, bool, error) {
 	if where == nil || !schema.HasPrimaryKey() {
 		return nil, false, nil
 	}
@@ -645,7 +669,7 @@ func pkLookupRows(tbl *storage.Table, schema *catalog.TableSchema, where parser.
 	return nil, true, nil
 }
 
-func (db *Database) execUpdate(s *parser.UpdateStmt, params []types.Value, tx *Tx) (int, error) {
+func (db *Database) execUpdate(s *parser.UpdateStmt, params *exec.Params, tx *Tx) (int, error) {
 	tbl, schema, ok := db.LookupTable(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("sql: unknown table %s", s.Table)
@@ -719,7 +743,7 @@ func (db *Database) execUpdate(s *parser.UpdateStmt, params []types.Value, tx *T
 	return n, nil
 }
 
-func (db *Database) execDelete(s *parser.DeleteStmt, params []types.Value, tx *Tx) (int, error) {
+func (db *Database) execDelete(s *parser.DeleteStmt, params *exec.Params, tx *Tx) (int, error) {
 	tbl, schema, ok := db.LookupTable(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("sql: unknown table %s", s.Table)
@@ -782,7 +806,7 @@ func (t *Tx) Exec(sql string, args ...any) (int, error) {
 	if t.done {
 		return 0, fmt.Errorf("sql: transaction already finished")
 	}
-	params, err := convertArgs(args)
+	params, err := bindArgs(sql, nil, args)
 	if err != nil {
 		return 0, err
 	}
@@ -839,9 +863,17 @@ type Stmt struct {
 	sql  string
 	stmt parser.Statement
 	sel  *parser.SelectStmt // non-nil for SELECT
+	// listOK flags the markers a list may bind (parser.ListParams).
+	listOK []bool
 
-	pool chan exec.Node
-	gen  atomic.Int64
+	pool chan pooledPlan
+}
+
+// pooledPlan is a plan instance tagged with the DDL generation it was
+// planned at: it holds table and index handles of that generation.
+type pooledPlan struct {
+	node exec.Node
+	gen  int64
 }
 
 // Prepare parses a statement for repeated execution.
@@ -850,16 +882,19 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{db: db, sql: sql, stmt: stmt, pool: make(chan exec.Node, 64)}
+	listOK, err := parser.ListParams(sql)
+	if err != nil {
+		return nil, err
+	}
+	s := &Stmt{db: db, sql: sql, stmt: stmt, listOK: listOK, pool: make(chan pooledPlan, 64)}
 	if sel, ok := stmt.(*parser.SelectStmt); ok {
 		s.sel = sel
-		s.gen.Store(db.generation.Load())
 		// Plan eagerly to surface errors at prepare time.
-		node, err := plan.Select(db, sel)
+		node, gen, err := s.getPlan()
 		if err != nil {
 			return nil, err
 		}
-		s.putPlan(node)
+		s.putPlan(node, gen)
 	}
 	return s, nil
 }
@@ -867,31 +902,31 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 // SQL returns the statement text.
 func (s *Stmt) SQL() string { return s.sql }
 
-func (s *Stmt) getPlan() (exec.Node, error) {
+// getPlan returns a plan instance of the current DDL generation, and that
+// generation. Pooled plans of an older generation are dropped.
+func (s *Stmt) getPlan() (exec.Node, int64, error) {
 	gen := s.db.generation.Load()
-	if s.gen.Swap(gen) != gen {
-		// DDL happened: drop stale plans. (Concurrent drainers are fine —
-		// losing a few fresh plans only costs a replan.)
-		for {
-			select {
-			case <-s.pool:
-				continue
-			default:
+	for {
+		select {
+		case p := <-s.pool:
+			if p.gen == gen {
+				return p.node, gen, nil
 			}
-			break
+		default:
+			node, err := plan.Select(s.db, s.sel)
+			return node, gen, err
 		}
-	}
-	select {
-	case n := <-s.pool:
-		return n, nil
-	default:
-		return plan.Select(s.db, s.sel)
 	}
 }
 
-func (s *Stmt) putPlan(n exec.Node) {
+// putPlan pools a plan instance planned at generation gen, unless DDL has
+// run since.
+func (s *Stmt) putPlan(n exec.Node, gen int64) {
+	if gen != s.db.generation.Load() {
+		return
+	}
 	select {
-	case s.pool <- n:
+	case s.pool <- pooledPlan{node: n, gen: gen}:
 	default:
 	}
 }
@@ -901,16 +936,18 @@ func (s *Stmt) Query(args ...any) (*Rows, error) {
 	return s.QueryCtx(context.Background(), args...)
 }
 
-// QueryCtx executes a prepared SELECT under a statement context.
+// QueryCtx executes a prepared SELECT under a statement context. An
+// argument of type []types.Value binds a list to a marker that is the whole
+// operand of IN, so one statement text serves every list length.
 func (s *Stmt) QueryCtx(ctx context.Context, args ...any) (*Rows, error) {
 	if s.sel == nil {
 		return nil, fmt.Errorf("sql: prepared statement is not a SELECT")
 	}
-	params, err := convertArgs(args)
+	params, err := bindArgs(s.sql, s.listOK, args)
 	if err != nil {
 		return nil, err
 	}
-	node, err := s.getPlan()
+	node, gen, err := s.getPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -919,7 +956,7 @@ func (s *Stmt) QueryCtx(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	rows := &Rows{cols: node.Columns(), data: data}
-	s.putPlan(node)
+	s.putPlan(node, gen)
 	return rows, nil
 }
 
@@ -932,7 +969,7 @@ func (s *Stmt) Exec(args ...any) (int, error) {
 		}
 		return rows.Len(), nil
 	}
-	params, err := convertArgs(args)
+	params, err := bindArgs(s.sql, s.listOK, args)
 	if err != nil {
 		return 0, err
 	}

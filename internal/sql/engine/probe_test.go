@@ -8,11 +8,12 @@ import (
 )
 
 // TestRepeatedProbeKeysSameAnswer runs IN lists with repeated values and
-// NULLs through the primary-key and the secondary-index probe paths. The
-// probe loop skips a key equal to the previous probe's, so each list must
-// answer exactly as its distinct values in first-appearance order do, for
-// COUNT(*) and for the rows themselves, in order; and as a full scan of
-// the same rows does, which probes nothing.
+// NULLs through the primary-key and the secondary-index probe paths. A
+// probe takes the list as a key set and skips a repeated key wherever it
+// appears, so each list must answer exactly as its distinct values in
+// first-appearance order do, for COUNT(*) (an index-only count) and for the
+// rows themselves, in order; and as a full scan of the same rows does,
+// which probes nothing.
 func TestRepeatedProbeKeysSameAnswer(t *testing.T) {
 	db := New()
 	const nodes = "(1, 'a'), (2, 'b'), (3, 'c'), (4, 'd')"
@@ -38,7 +39,7 @@ func TestRepeatedProbeKeysSameAnswer(t *testing.T) {
 			{int64(1), int64(2), int64(3)},
 			{int64(3), int64(3), int64(1), int64(1), int64(1), int64(2)}, // consecutive repeats
 			{int64(1), int64(2), int64(1), int64(3), int64(2), int64(1)}, // non-consecutive repeats
-			{int64(2), int64(3), int64(4), int64(4), int64(4), int64(4)}, // padded to a power of two
+			{int64(2), int64(3), int64(4), int64(4), int64(4), int64(4)}, // trailing repeats
 			{int64(1), nil, int64(1), nil, nil, int64(3), int64(3)},      // NULLs between repeats
 			{nil, nil, int64(4)},                     // leading NULLs
 			{int64(9), int64(9), int64(1), int64(9)}, // misses

@@ -11,7 +11,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -29,8 +28,26 @@ type Column struct {
 	Type      types.Kind
 }
 
-// ExprFn is a compiled scalar expression evaluated against an input row.
-type ExprFn func(row, params []types.Value) (types.Value, error)
+// ExprFn is a compiled scalar expression evaluated against an input row
+// and the statement's parameters.
+type ExprFn func(row []types.Value, params *Params) (types.Value, error)
+
+// Params are the values bound to a statement's ? markers, by marker index.
+// A marker bound to a list, which is legal only as the whole operand of
+// IN, has its values in Lists and NULL in Vals.
+type Params struct {
+	Vals []types.Value
+	// Lists is nil unless some marker is bound to a list.
+	Lists [][]types.Value
+}
+
+// List returns the list bound to marker i, if it is bound to one.
+func (p *Params) List(i int) ([]types.Value, bool) {
+	if p == nil || uint(i) >= uint(len(p.Lists)) || p.Lists[i] == nil {
+		return nil, false
+	}
+	return p.Lists[i], true
+}
 
 // TableFuncRunner executes a registered polymorphic table function with
 // already-evaluated arguments, producing rows matching the declared columns.
@@ -42,7 +59,7 @@ type Context struct {
 	// context.Background().
 	Ctx context.Context
 	// Params are the values bound to ? markers.
-	Params []types.Value
+	Params Params
 	// RunTableFunc executes table functions referenced in FROM clauses.
 	RunTableFunc TableFuncRunner
 }
@@ -179,102 +196,74 @@ const (
 type ScanNode struct {
 	Table  *storage.Table
 	Access ScanAccess
-	// Index is the index name for AccessIndex/AccessIndexRange.
-	Index string
-	// KeySets holds, per probe, the expressions producing the key tuple.
-	// For AccessPK/AccessIndex, each entry is one probe (IN-lists expand to
-	// several probes).
-	KeySets [][]ExprFn
+	// Index is the index AccessPK, AccessIndex and AccessIndexRange read.
+	Index *storage.Index
+	// Key yields the key tuple of AccessPK/AccessIndex, one expression per
+	// key column, but the column at InPos (its Key entry nil) takes every
+	// value of In, so one probe covers a set of keys: an IN list, or one
+	// value; or, when In's only item is marker InParam (-1: none) bound to
+	// a list, that list.
+	Key     []ExprFn
+	InPos   int
+	In      []ExprFn
+	InParam int
 	// Lo/Hi are the range bounds for AccessIndexRange (nil = open).
 	Lo, Hi []ExprFn
 	// AsOf evaluates the snapshot timestamp for AccessAsOf.
 	AsOf ExprFn
 	// Filter is the residual predicate applied to each row (nil = none).
 	Filter ExprFn
+	// CountOnly makes a Filter-free AccessPK/AccessIndex scan return one
+	// row, its COUNT(*), from posting lengths, visiting no row.
+	CountOnly bool
 	// Cols is the output schema (the table's columns under its alias).
 	Cols []Column
 
 	rows   []storage.Row
 	pos    int
-	params []types.Value
+	params *Params
+	keys   []storage.Key
 }
 
 // Columns implements Node.
 func (s *ScanNode) Columns() []Column { return s.Cols }
 
 // Open implements Node. All access paths materialize the matching row set
-// under the table's shared lock, then iterate lock-free.
+// under one shared lock of the table, then iterate lock-free.
 func (s *ScanNode) Open(ctx *Context) error {
 	s.rows = s.rows[:0]
 	s.pos = 0
 	if ctx != nil {
-		s.params = ctx.Params
-	}
-	emit := func(row storage.Row) (bool, error) {
-		if s.Filter != nil {
-			v, err := s.Filter(row, s.params)
-			if err != nil {
-				return false, err
-			}
-			if !v.Bool() {
-				return true, nil
-			}
-		}
-		s.rows = append(s.rows, row)
-		return true, nil
+		s.params = &ctx.Params
 	}
 	var scanErr error
-	switch s.Access {
-	case AccessFull:
-		s.Table.Scan(func(_ storage.RowID, row storage.Row) bool {
-			ok, err := emit(row)
+	emit := func(row storage.Row) bool {
+		if s.Filter != nil {
+			v, err := s.Filter(row, s.params)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			return ok
-		})
-	case AccessPK:
-		// Probes may overlap (IN lists can repeat values); a row must be
-		// emitted once — IN is a predicate, not a join.
-		seen := make(map[storage.RowID]bool, len(s.KeySets))
-		err := s.probe(func(key []types.Value) error {
-			if id, ok := s.Table.LookupPK(key); ok && !seen[id] {
-				seen[id] = true
-				if row, ok := s.Table.Get(id); ok {
-					if _, err := emit(row); err != nil {
-						return err
-					}
-				}
+			if !v.Bool() {
+				return true
 			}
-			return nil
-		})
+		}
+		s.rows = append(s.rows, row)
+		return true
+	}
+	switch s.Access {
+	case AccessFull:
+		s.Table.Scan(func(_ storage.RowID, row storage.Row) bool { return emit(row) })
+	case AccessPK, AccessIndex:
+		keys, err := s.keySet(s.params)
 		if err != nil {
 			return err
 		}
-	case AccessIndex:
-		seen := make(map[storage.RowID]bool, len(s.KeySets))
-		err := s.probe(func(key []types.Value) error {
-			ids, err := s.Table.IndexLookup(s.Index, key)
-			if err != nil {
-				return err
-			}
-			for _, id := range ids {
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-				if row, ok := s.Table.Get(id); ok {
-					if _, err := emit(row); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+		if !s.CountOnly {
+			s.Index.Probe(keys, emit)
+			break
 		}
+		s.rows = append(s.rows, storage.Row{types.NewInt(int64(s.Index.Probe(keys, nil)))})
 	case AccessIndexRange:
 		lo, err := evalKey(s.Lo, nil, s.params)
 		if err != nil {
@@ -284,19 +273,7 @@ func (s *ScanNode) Open(ctx *Context) error {
 		if err != nil {
 			return err
 		}
-		err = s.Table.IndexRange(s.Index, lo, hi, func(id storage.RowID) bool {
-			row, ok := s.Table.Get(id)
-			if !ok {
-				return true
-			}
-			ok2, err2 := emit(row)
-			if err2 != nil {
-				scanErr = err2
-				return false
-			}
-			return ok2
-		})
-		if err != nil {
+		if err := s.Index.Range(lo, hi, emit); err != nil {
 			return err
 		}
 	case AccessAsOf:
@@ -308,71 +285,47 @@ func (s *ScanNode) Open(ctx *Context) error {
 		if !ok {
 			return fmt.Errorf("exec: AS OF timestamp must be numeric, got %s", tv)
 		}
-		s.Table.ScanAsOf(ts, func(row storage.Row) bool {
-			ok, err := emit(row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			return ok
-		})
+		s.Table.ScanAsOf(ts, emit)
 	default:
 		return fmt.Errorf("exec: unknown scan access %d", s.Access)
 	}
 	return scanErr
 }
 
-// probe evaluates each probe's key tuple and passes it to fn, skipping a
-// key with a NULL component (it equals nothing) and a key identical to the
-// previous probe's: padded IN lists repeat their last value, and the
-// repeat would find the same rows again. fn must not retain key.
-func (s *ScanNode) probe(fn func(key []types.Value) error) error {
-	var key, prev []types.Value
-	for i, keyExprs := range s.KeySets {
-		if cap(key) < len(keyExprs) {
-			key = make([]types.Value, len(keyExprs))
-		}
-		key = key[:len(keyExprs)]
-		for j, e := range keyExprs {
-			v, err := e(nil, s.params)
-			if err != nil {
-				return err
-			}
-			key[j] = v
-		}
-		if hasNullKey(key) || (i > 0 && sameKey(key, prev)) {
-			continue
-		}
-		if err := fn(key); err != nil {
-			return err
-		}
-		key, prev = prev, key
+// keySet evaluates the probe keys of an AccessPK/AccessIndex scan. A key
+// with a NULL component equals nothing and is left out. The slice is the
+// node's scratch, valid until the next call.
+func (s *ScanNode) keySet(params *Params) ([]storage.Key, error) {
+	key, err := evalKey(s.Key, nil, params)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	in, ok := params.List(s.InParam)
+	if !ok {
+		if in, err = evalKey(s.In, nil, params); err != nil {
+			return nil, err
+		}
+	}
+	s.keys = s.keys[:0]
+	for _, v := range in {
+		key[s.InPos] = v
+		if !hasNullKey(key) {
+			s.keys = append(s.keys, storage.TupleKey(key))
+		}
+	}
+	return s.keys, nil
 }
 
-// sameKey reports whether two key tuples encode identically (see
-// types.Value.EncodeKey), so probing the second finds exactly the rows the
-// first found.
-func sameKey(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Kind != y.Kind || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
-			return false
-		}
-	}
-	return true
-}
-
-func evalKey(exprs []ExprFn, row, params []types.Value) ([]types.Value, error) {
+// evalKey evaluates exprs into a new tuple; a nil entry stays NULL.
+func evalKey(exprs []ExprFn, row []types.Value, params *Params) ([]types.Value, error) {
 	if exprs == nil {
 		return nil, nil
 	}
 	out := make([]types.Value, len(exprs))
 	for i, fn := range exprs {
+		if fn == nil {
+			continue
+		}
 		v, err := fn(row, params)
 		if err != nil {
 			return nil, err
@@ -404,6 +357,7 @@ func (s *ScanNode) Next() (storage.Row, error) {
 // Close implements Node.
 func (s *ScanNode) Close() error {
 	s.rows = nil
+	s.params = nil
 	return nil
 }
 
@@ -425,9 +379,9 @@ func (v *ValuesNode) Columns() []Column { return v.Cols }
 func (v *ValuesNode) Open(ctx *Context) error {
 	v.out = v.out[:0]
 	v.pos = 0
-	var params []types.Value
+	var params *Params
 	if ctx != nil {
-		params = ctx.Params
+		params = &ctx.Params
 	}
 	for _, exprs := range v.Rows {
 		row, err := evalKey(exprs, nil, params)
@@ -472,7 +426,7 @@ func (t *TableFuncNode) Open(ctx *Context) error {
 	if ctx == nil || ctx.RunTableFunc == nil {
 		return fmt.Errorf("exec: no table function runner registered for %s", t.Name)
 	}
-	args, err := evalKey(t.Args, nil, ctx.Params)
+	args, err := evalKey(t.Args, nil, &ctx.Params)
 	if err != nil {
 		return err
 	}
@@ -507,7 +461,7 @@ func (t *TableFuncNode) Close() error {
 type FilterNode struct {
 	Child  Node
 	Pred   ExprFn
-	params []types.Value
+	params *Params
 }
 
 // Columns implements Node.
@@ -516,7 +470,7 @@ func (f *FilterNode) Columns() []Column { return f.Child.Columns() }
 // Open implements Node.
 func (f *FilterNode) Open(ctx *Context) error {
 	if ctx != nil {
-		f.params = ctx.Params
+		f.params = &ctx.Params
 	}
 	return f.Child.Open(ctx)
 }
@@ -548,7 +502,7 @@ type ProjectNode struct {
 	Child  Node
 	Exprs  []ExprFn
 	Cols   []Column
-	params []types.Value
+	params *Params
 }
 
 // Columns implements Node.
@@ -557,7 +511,7 @@ func (p *ProjectNode) Columns() []Column { return p.Cols }
 // Open implements Node.
 func (p *ProjectNode) Open(ctx *Context) error {
 	if ctx != nil {
-		p.params = ctx.Params
+		p.params = &ctx.Params
 	}
 	return p.Child.Open(ctx)
 }
@@ -609,7 +563,7 @@ type HashJoinNode struct {
 	current []storage.Row // pending matches for the current left row
 	cur     storage.Row   // current left row
 	pos     int
-	params  []types.Value
+	params  *Params
 }
 
 // Columns implements Node.
@@ -629,7 +583,7 @@ func (j *HashJoinNode) Open(ctx *Context) error {
 		return err
 	}
 	if ctx != nil {
-		j.params = ctx.Params
+		j.params = &ctx.Params
 	}
 	j.rightW = len(j.Right.Columns())
 	j.ht = make(map[string][]storage.Row)
@@ -724,7 +678,7 @@ type NestedLoopJoinNode struct {
 	cur     storage.Row
 	pos     int
 	matched bool
-	params  []types.Value
+	params  *Params
 }
 
 // Columns implements Node.
@@ -756,7 +710,7 @@ func (j *NestedLoopJoinNode) Open(ctx *Context) error {
 		j.right = append(j.right, row)
 	}
 	if ctx != nil {
-		j.params = ctx.Params
+		j.params = &ctx.Params
 	}
 	j.cur = nil
 	j.pos = 0
@@ -862,7 +816,7 @@ type AggregateNode struct {
 	groups map[string]*group
 	order  []string
 	pos    int
-	params []types.Value
+	params *Params
 }
 
 type group struct {
@@ -879,7 +833,7 @@ func (a *AggregateNode) Open(ctx *Context) error {
 		return err
 	}
 	if ctx != nil {
-		a.params = ctx.Params
+		a.params = &ctx.Params
 	}
 	a.groups = make(map[string]*group)
 	a.order = a.order[:0]
@@ -926,7 +880,7 @@ func (a *AggregateNode) Open(ctx *Context) error {
 	return nil
 }
 
-func (st *aggState) update(spec AggSpec, row, params []types.Value) error {
+func (st *aggState) update(spec AggSpec, row []types.Value, params *Params) error {
 	if spec.Kind == AggCountStar {
 		st.count++
 		return nil

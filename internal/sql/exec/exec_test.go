@@ -11,17 +11,17 @@ import (
 
 // lit builds a constant expression.
 func lit(v types.Value) ExprFn {
-	return func(_, _ []types.Value) (types.Value, error) { return v, nil }
+	return func(_ []types.Value, _ *Params) (types.Value, error) { return v, nil }
 }
 
 // col builds a column-reference expression.
 func col(i int) ExprFn {
-	return func(row, _ []types.Value) (types.Value, error) { return row[i], nil }
+	return func(row []types.Value, _ *Params) (types.Value, error) { return row[i], nil }
 }
 
 // param builds a parameter-reference expression.
 func param(i int) ExprFn {
-	return func(_, params []types.Value) (types.Value, error) { return params[i], nil }
+	return func(_ []types.Value, params *Params) (types.Value, error) { return params.Vals[i], nil }
 }
 
 // numbersTable builds a table with columns (id BIGINT PK, grp BIGINT,
@@ -83,7 +83,7 @@ func TestScanFull(t *testing.T) {
 
 func TestScanWithFilter(t *testing.T) {
 	tbl := numbersTable(t, 10)
-	pred := func(row, _ []types.Value) (types.Value, error) {
+	pred := func(row []types.Value, _ *Params) (types.Value, error) {
 		return types.NewBool(row[1].I == 1), nil
 	}
 	scan := &ScanNode{Table: tbl, Access: AccessFull, Filter: pred, Cols: numsCols()}
@@ -96,15 +96,15 @@ func TestScanWithFilter(t *testing.T) {
 func TestScanPK(t *testing.T) {
 	tbl := numbersTable(t, 10)
 	scan := &ScanNode{
-		Table: tbl, Access: AccessPK, Cols: numsCols(),
-		KeySets: [][]ExprFn{{lit(types.NewInt(7))}},
+		Table: tbl, Access: AccessPK, Index: tbl.PrimaryKey(), Cols: numsCols(),
+		Key: make([]ExprFn, 1), In: []ExprFn{lit(types.NewInt(7))}, InParam: -1,
 	}
 	rows := runAll(t, scan, &Context{})
 	if len(rows) != 1 || rows[0][0].I != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
 	// Missing key and NULL key yield nothing.
-	scan.KeySets = [][]ExprFn{{lit(types.NewInt(99))}, {lit(types.Null)}}
+	scan.In = []ExprFn{lit(types.NewInt(99)), lit(types.Null)}
 	if rows := runAll(t, scan, &Context{}); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -113,15 +113,15 @@ func TestScanPK(t *testing.T) {
 func TestScanPKWithParams(t *testing.T) {
 	tbl := numbersTable(t, 10)
 	scan := &ScanNode{
-		Table: tbl, Access: AccessPK, Cols: numsCols(),
-		KeySets: [][]ExprFn{{param(0)}},
+		Table: tbl, Access: AccessPK, Index: tbl.PrimaryKey(), Cols: numsCols(),
+		Key: make([]ExprFn, 1), In: []ExprFn{param(0)}, InParam: -1,
 	}
-	rows := runAll(t, scan, &Context{Params: []types.Value{types.NewInt(3)}})
+	rows := runAll(t, scan, &Context{Params: Params{Vals: []types.Value{types.NewInt(3)}}})
 	if len(rows) != 1 || rows[0][0].I != 3 {
 		t.Fatalf("rows = %v", rows)
 	}
 	// Re-open with different params (prepared statement reuse).
-	rows = runAll(t, scan, &Context{Params: []types.Value{types.NewInt(5)}})
+	rows = runAll(t, scan, &Context{Params: Params{Vals: []types.Value{types.NewInt(5)}}})
 	if len(rows) != 1 || rows[0][0].I != 5 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -130,8 +130,9 @@ func TestScanPKWithParams(t *testing.T) {
 func TestScanIndexProbes(t *testing.T) {
 	tbl := numbersTable(t, 9)
 	scan := &ScanNode{
-		Table: tbl, Access: AccessIndex, Index: "idx_grp", Cols: numsCols(),
-		KeySets: [][]ExprFn{{lit(types.NewInt(0))}, {lit(types.NewInt(2))}},
+		Table: tbl, Access: AccessIndex, Index: tbl.Index("idx_grp"), Cols: numsCols(),
+		Key: make([]ExprFn, 1), InParam: -1,
+		In: []ExprFn{lit(types.NewInt(0)), lit(types.NewInt(2))},
 	}
 	rows := runAll(t, scan, &Context{})
 	if len(rows) != 6 {
@@ -142,7 +143,7 @@ func TestScanIndexProbes(t *testing.T) {
 func TestScanIndexRange(t *testing.T) {
 	tbl := numbersTable(t, 10)
 	scan := &ScanNode{
-		Table: tbl, Access: AccessIndexRange, Index: "ord_val", Cols: numsCols(),
+		Table: tbl, Access: AccessIndexRange, Index: tbl.Index("ord_val"), Cols: numsCols(),
 		Lo: []ExprFn{lit(types.NewInt(30))},
 		Hi: []ExprFn{lit(types.NewInt(60))},
 	}
@@ -159,7 +160,7 @@ func TestValuesAndProject(t *testing.T) {
 	}
 	proj := &ProjectNode{
 		Child: vals,
-		Exprs: []ExprFn{func(row, _ []types.Value) (types.Value, error) {
+		Exprs: []ExprFn{func(row []types.Value, _ *Params) (types.Value, error) {
 			return types.Add(row[0], types.NewInt(10))
 		}},
 		Cols: []Column{{Name: "sum"}},
@@ -173,7 +174,7 @@ func TestValuesAndProject(t *testing.T) {
 func TestFilterNode(t *testing.T) {
 	tbl := numbersTable(t, 10)
 	scan := &ScanNode{Table: tbl, Access: AccessFull, Cols: numsCols()}
-	filter := &FilterNode{Child: scan, Pred: func(row, _ []types.Value) (types.Value, error) {
+	filter := &FilterNode{Child: scan, Pred: func(row []types.Value, _ *Params) (types.Value, error) {
 		return types.NewBool(row[0].I >= 8), nil
 	}}
 	rows := runAll(t, filter, &Context{})

@@ -23,17 +23,20 @@ func explainNode(sb *strings.Builder, n Node, depth int) {
 		case AccessFull:
 			access = "full scan"
 		case AccessPK:
-			access = fmt.Sprintf("primary key probe (%d probe(s))", len(x.KeySets))
+			access = "primary key probe (" + keyList(x) + ")"
 		case AccessIndex:
-			access = fmt.Sprintf("index probe %s (%d probe(s))", x.Index, len(x.KeySets))
+			access = "index probe " + x.Index.Def.Name + " (" + keyList(x) + ")"
 		case AccessIndexRange:
-			access = "index range scan " + x.Index
+			access = "index range scan " + x.Index.Def.Name
 		case AccessAsOf:
 			access = "temporal snapshot scan"
 		}
 		filter := ""
 		if x.Filter != nil {
 			filter = " + residual filter"
+		}
+		if x.CountOnly {
+			filter = ", index-only COUNT(*)"
 		}
 		fmt.Fprintf(sb, "%sScan %s [%s%s]\n", indent, x.Table.Schema().Name, access, filter)
 	case *ValuesNode:
@@ -97,4 +100,13 @@ func explainNode(sb *strings.Builder, n Node, depth int) {
 	default:
 		fmt.Fprintf(sb, "%s%T\n", indent, n)
 	}
+}
+
+// keyList describes a probe's key set; "?" counts a list a marker binds.
+func keyList(s *ScanNode) string {
+	n := fmt.Sprint(len(s.In))
+	if s.InParam >= 0 {
+		n = "?"
+	}
+	return "list of " + n + " keys"
 }

@@ -87,6 +87,25 @@ func NumParams(input string) (int, error) {
 	return n, nil
 }
 
+// ListParams reports, by marker index, which ? markers of a statement are
+// the whole operand of an IN list, "IN (?)": the only markers that may be
+// bound to a list of values.
+func ListParams(input string) ([]bool, error) {
+	toks, err := lex(input)
+	if err != nil {
+		return nil, err
+	}
+	var out []bool
+	for i, t := range toks {
+		if t.kind == tokParam {
+			out = append(out, i >= 2 && toks[i-2].kind == tokKeyword && toks[i-2].text == "IN" &&
+				toks[i-1].kind == tokOp && toks[i-1].text == "(" &&
+				toks[i+1].kind == tokOp && toks[i+1].text == ")")
+		}
+	}
+	return out, nil
+}
+
 func newParser(input string) (*Parser, error) {
 	toks, err := lex(input)
 	if err != nil {

@@ -57,15 +57,15 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 	switch x := e.(type) {
 	case *parser.Literal:
 		v := x.Value
-		return func(_, _ []types.Value) (types.Value, error) { return v, nil }, v.Kind, nil
+		return func(_ []types.Value, _ *exec.Params) (types.Value, error) { return v, nil }, v.Kind, nil
 
 	case *parser.Param:
 		idx := x.Index
-		return func(_, params []types.Value) (types.Value, error) {
-			if idx >= len(params) {
+		return func(_ []types.Value, params *exec.Params) (types.Value, error) {
+			if params == nil || idx >= len(params.Vals) {
 				return types.Null, fmt.Errorf("sql: missing value for parameter %d", idx+1)
 			}
-			return params[idx], nil
+			return params.Vals[idx], nil
 		}, types.KindNull, nil
 
 	case *parser.ColumnRef:
@@ -74,7 +74,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 			return nil, 0, err
 		}
 		kind := b.columnType(i)
-		return func(row, _ []types.Value) (types.Value, error) {
+		return func(row []types.Value, _ *exec.Params) (types.Value, error) {
 			if i >= len(row) {
 				return types.Null, fmt.Errorf("sql: row too short for column %d", i)
 			}
@@ -88,7 +88,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 		}
 		switch x.Op {
 		case "NOT":
-			return func(row, params []types.Value) (types.Value, error) {
+			return func(row []types.Value, params *exec.Params) (types.Value, error) {
 				v, err := inner(row, params)
 				if err != nil {
 					return types.Null, err
@@ -99,7 +99,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 				return types.NewBool(!v.Bool()), nil
 			}, types.KindBool, nil
 		case "-":
-			return func(row, params []types.Value) (types.Value, error) {
+			return func(row []types.Value, params *exec.Params) (types.Value, error) {
 				v, err := inner(row, params)
 				if err != nil || v.IsNull() {
 					return types.Null, err
@@ -134,13 +134,22 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 			list[i] = fn
 		}
 		not := x.Not
-		return func(row, params []types.Value) (types.Value, error) {
+		listParam := inListParam(x)
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := itemFn(row, params)
 			if err != nil {
 				return types.Null, err
 			}
 			if v.IsNull() {
 				return types.Null, nil
+			}
+			if vals, ok := params.List(listParam); ok {
+				for _, lv := range vals {
+					if types.Equal(v, lv) {
+						return types.NewBool(!not), nil
+					}
+				}
+				return types.NewBool(not), nil
 			}
 			for _, fn := range list {
 				lv, err := fn(row, params)
@@ -160,7 +169,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 			return nil, 0, err
 		}
 		not := x.Not
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := inner(row, params)
 			if err != nil {
 				return types.Null, err
@@ -178,7 +187,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 			return nil, 0, err
 		}
 		not := x.Not
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := inner(row, params)
 			if err != nil {
 				return types.Null, err
@@ -207,7 +216,7 @@ func (b *binder) compile(e parser.Expr) (exec.ExprFn, types.Kind, error) {
 			return nil, 0, err
 		}
 		not := x.Not
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := inner(row, params)
 			if err != nil {
 				return types.Null, err
@@ -250,7 +259,7 @@ func (b *binder) compileBinary(x *parser.BinaryExpr) (exec.ExprFn, types.Kind, e
 	op := x.Op
 	switch op {
 	case parser.OpAnd:
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			l, err := lf(row, params)
 			if err != nil {
 				return types.Null, err
@@ -272,7 +281,7 @@ func (b *binder) compileBinary(x *parser.BinaryExpr) (exec.ExprFn, types.Kind, e
 			return types.NewBool(true), nil
 		}, types.KindBool, nil
 	case parser.OpOr:
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			l, err := lf(row, params)
 			if err != nil {
 				return types.Null, err
@@ -293,7 +302,7 @@ func (b *binder) compileBinary(x *parser.BinaryExpr) (exec.ExprFn, types.Kind, e
 			return types.NewBool(false), nil
 		}, types.KindBool, nil
 	case parser.OpEq, parser.OpNe, parser.OpLt, parser.OpLe, parser.OpGt, parser.OpGe:
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			l, err := lf(row, params)
 			if err != nil {
 				return types.Null, err
@@ -324,7 +333,7 @@ func (b *binder) compileBinary(x *parser.BinaryExpr) (exec.ExprFn, types.Kind, e
 			return types.NewBool(res), nil
 		}, types.KindBool, nil
 	case parser.OpConcat:
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			l, err := lf(row, params)
 			if err != nil {
 				return types.Null, err
@@ -340,7 +349,7 @@ func (b *binder) compileBinary(x *parser.BinaryExpr) (exec.ExprFn, types.Kind, e
 		if lk == types.KindFloat || rk == types.KindFloat {
 			kind = types.KindFloat
 		}
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			l, err := lf(row, params)
 			if err != nil {
 				return types.Null, err
@@ -386,7 +395,7 @@ func (b *binder) compileScalarFunc(x *parser.FuncCall) (exec.ExprFn, types.Kind,
 			return nil, 0, err
 		}
 		upper := x.Name == "UPPER"
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := args[0](row, params)
 			if err != nil || v.IsNull() {
 				return types.Null, err
@@ -400,7 +409,7 @@ func (b *binder) compileScalarFunc(x *parser.FuncCall) (exec.ExprFn, types.Kind,
 		if err := requireArgs(1); err != nil {
 			return nil, 0, err
 		}
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := args[0](row, params)
 			if err != nil || v.IsNull() {
 				return types.Null, err
@@ -411,7 +420,7 @@ func (b *binder) compileScalarFunc(x *parser.FuncCall) (exec.ExprFn, types.Kind,
 		if err := requireArgs(1); err != nil {
 			return nil, 0, err
 		}
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			v, err := args[0](row, params)
 			if err != nil || v.IsNull() {
 				return types.Null, err
@@ -435,7 +444,7 @@ func (b *binder) compileScalarFunc(x *parser.FuncCall) (exec.ExprFn, types.Kind,
 		if len(args) == 0 {
 			return nil, 0, fmt.Errorf("sql: COALESCE requires at least one argument")
 		}
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			for _, fn := range args {
 				v, err := fn(row, params)
 				if err != nil {
@@ -451,7 +460,7 @@ func (b *binder) compileScalarFunc(x *parser.FuncCall) (exec.ExprFn, types.Kind,
 		if err := requireArgs(2); err != nil {
 			return nil, 0, err
 		}
-		return func(row, params []types.Value) (types.Value, error) {
+		return func(row []types.Value, params *exec.Params) (types.Value, error) {
 			a, err := args[0](row, params)
 			if err != nil || a.IsNull() {
 				return types.Null, err
@@ -497,6 +506,17 @@ func likeMatch(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+// inListParam returns the index of the ? marker that is the whole operand
+// of an IN list (the one place a marker may be bound to a list), or -1.
+func inListParam(x *parser.InExpr) int {
+	if len(x.List) == 1 {
+		if p, ok := x.List[0].(*parser.Param); ok {
+			return p.Index
+		}
+	}
+	return -1
 }
 
 // exprKey renders an expression to a canonical string for structural

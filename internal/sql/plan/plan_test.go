@@ -99,7 +99,11 @@ func planQuery(t *testing.T, r Resolver, sql string) exec.Node {
 func findScan(n exec.Node) *ScanProbe {
 	switch x := n.(type) {
 	case *exec.ScanNode:
-		return &ScanProbe{Access: x.Access, Index: x.Index, HasFilter: x.Filter != nil, Probes: len(x.KeySets)}
+		p := &ScanProbe{Access: x.Access, HasFilter: x.Filter != nil, Probes: len(x.In)}
+		if x.Index != nil && x.Index.Def != nil {
+			p.Index = x.Index.Def.Name
+		}
+		return p
 	case *exec.FilterNode:
 		return findScan(x.Child)
 	case *exec.ProjectNode:

@@ -438,12 +438,19 @@ func (p *planner) buildAggregate(sel *parser.SelectStmt, items []parser.SelectIt
 		postEnv = append(postEnv, exec.Column{Name: fmt.Sprintf("$agg%d", i), Type: a.kind})
 	}
 
-	aggNode := &exec.AggregateNode{
+	var aggNode exec.Node = &exec.AggregateNode{
 		Child:   input,
 		GroupBy: groupFns,
 		Aggs:    specs,
 		Cols:    postEnv,
 		Global:  len(sel.GroupBy) == 0,
+	}
+	// A lone COUNT(*) over a bare key probe counts postings, not rows.
+	if scan, ok := input.(*exec.ScanNode); ok && len(sel.GroupBy) == 0 && len(specs) == 1 &&
+		specs[0].Kind == exec.AggCountStar && scan.Filter == nil &&
+		(scan.Access == exec.AccessPK || scan.Access == exec.AccessIndex) {
+		scan.CountOnly, scan.Cols = true, postEnv
+		aggNode = scan
 	}
 
 	// Rewriter: aggregate call -> $aggN column; group-by-equal expr -> key
@@ -729,7 +736,7 @@ func compileConjunction(b *binder, conjuncts []parser.Expr) (exec.ExprFn, error)
 	if len(fns) == 1 {
 		return fns[0], nil
 	}
-	return func(row, params []types.Value) (types.Value, error) {
+	return func(row []types.Value, params *exec.Params) (types.Value, error) {
 		for _, fn := range fns {
 			v, err := fn(row, params)
 			if err != nil {
@@ -879,7 +886,7 @@ func (p *planner) assembleLeaf(r *rel) (exec.Node, error) {
 	b := &binder{env: r.cols}
 	constB := &binder{} // value expressions must be column-free
 
-	scan := &exec.ScanNode{Table: leaf.table, Cols: r.cols, Access: exec.AccessFull}
+	scan := &exec.ScanNode{Table: leaf.table, Cols: r.cols, Access: exec.AccessFull, InParam: -1}
 
 	// Temporal scans bypass indexes (indexes describe current data only).
 	if leaf.asOf != nil {
@@ -1014,67 +1021,63 @@ func (p *planner) chooseAccessPath(leaf *leafRel, r *rel, scan *exec.ScanNode, c
 		return fn
 	}
 
-	// tryKeyed attempts to cover cols with equality predicates, allowing at
-	// most one IN column; returns per-probe key expression sets.
-	tryKeyed := func(cols []int) ([][]exec.ExprFn, []int, bool) {
-		inIdx := -1
-		for _, c := range cols {
+	// tryKeyed points scan at ix when equality predicates cover cols, at
+	// most one of them an IN list, whose values the probe takes as its key
+	// set.
+	tryKeyed := func(ix *storage.Index, cols []int) bool {
+		if ix == nil {
+			return false
+		}
+		inPos := -1
+		for i, c := range cols {
 			if _, ok := eqFor[c]; ok {
 				continue
 			}
-			if _, ok := inFor[c]; ok && inIdx < 0 {
-				inIdx = c
+			if _, ok := inFor[c]; ok && inPos < 0 {
+				inPos = i
 				continue
 			}
-			return nil, nil, false
+			return false
 		}
-		var used []int
-		base := make([]exec.ExprFn, len(cols))
-		var inPos int
-		var inVals []parser.Expr
+		key := make([]exec.ExprFn, len(cols))
+		var in []exec.ExprFn
+		inParam := -1
+		used := make([]int, 0, len(cols))
 		for i, c := range cols {
-			if ci, ok := eqFor[c]; ok && (c != inIdx) {
-				fn := compileVal(classes[ci].eqVal)
-				if fn == nil {
-					return nil, nil, false
+			if i != inPos {
+				ci := eqFor[c]
+				if key[i] = compileVal(classes[ci].eqVal); key[i] == nil {
+					return false
 				}
-				base[i] = fn
 				used = append(used, ci)
-			} else {
-				ci := inFor[c]
-				inPos = i
-				inVals = classes[ci].inVals
-				used = append(used, ci)
+				continue
 			}
-		}
-		if inIdx < 0 {
-			return [][]exec.ExprFn{base}, used, true
-		}
-		probes := make([][]exec.ExprFn, 0, len(inVals))
-		for _, v := range inVals {
-			fn := compileVal(v)
-			if fn == nil {
-				return nil, nil, false
+			ci := inFor[c]
+			for _, v := range classes[ci].inVals {
+				fn := compileVal(v)
+				if fn == nil {
+					return false
+				}
+				in = append(in, fn)
 			}
-			probe := make([]exec.ExprFn, len(base))
-			copy(probe, base)
-			probe[inPos] = fn
-			probes = append(probes, probe)
+			used = append(used, ci)
+			inParam = inListParam(classes[ci].expr.(*parser.InExpr))
 		}
-		return probes, used, true
+		if inPos < 0 { // one key: a list of one
+			inPos = len(cols) - 1
+			in, key[inPos] = []exec.ExprFn{key[inPos]}, nil
+		}
+		scan.Index, scan.Key, scan.InPos, scan.In, scan.InParam = ix, key, inPos, in, inParam
+		for _, u := range used {
+			consumed[u] = true
+		}
+		return true
 	}
 
 	// 1. Primary key.
-	if leaf.schema.HasPrimaryKey() {
-		pkCols := leaf.schema.PrimaryKeyIndexes()
-		if probes, used, ok := tryKeyed(pkCols); ok {
-			scan.Access = exec.AccessPK
-			scan.KeySets = probes
-			for _, u := range used {
-				consumed[u] = true
-			}
-			return consumed
-		}
+	if tryKeyed(leaf.table.PrimaryKey(), leaf.schema.PrimaryKeyIndexes()) {
+		scan.Access = exec.AccessPK
+		return consumed
 	}
 
 	// 2. Secondary indexes (hash equality / IN probes).
@@ -1089,16 +1092,8 @@ func (p *planner) chooseAccessPath(leaf *leafRel, r *rel, scan *exec.ScanNode, c
 			}
 			cols[i] = ci
 		}
-		if !valid {
-			continue
-		}
-		if probes, used, ok := tryKeyed(cols); ok {
+		if valid && tryKeyed(leaf.table.Index(idx.Name), cols) {
 			scan.Access = exec.AccessIndex
-			scan.Index = idx.Name
-			scan.KeySets = probes
-			for _, u := range used {
-				consumed[u] = true
-			}
 			return consumed
 		}
 	}
@@ -1130,9 +1125,9 @@ func (p *planner) chooseAccessPath(leaf *leafRel, r *rel, scan *exec.ScanNode, c
 			}
 			found = true
 		}
-		if found {
+		if ix := leaf.table.Index(idx.Name); found && ix != nil {
 			scan.Access = exec.AccessIndexRange
-			scan.Index = idx.Name
+			scan.Index = ix
 			if lo != nil {
 				scan.Lo = []exec.ExprFn{lo}
 			}

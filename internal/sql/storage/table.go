@@ -5,7 +5,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"db2graph/internal/btree"
@@ -55,31 +58,105 @@ type Table struct {
 	// bytes approximates the resident data size, maintained incrementally.
 	bytes int64
 
-	// pk maps encoded primary key -> RowID when the schema has a PK.
-	pk map[string]RowID
+	// pk is the primary key index when the schema has a PK.
+	pk *Index
 
-	indexes map[string]*tableIndex
+	indexes map[string]*Index
 
 	// history holds superseded versions of temporal tables.
 	history []version
 }
 
-// tableIndex is a secondary index instance bound to this table.
-type tableIndex struct {
-	def  *catalog.Index
-	cols []int
-	hash map[string][]RowID
-	ord  *btree.Map[RowID] // only when def.Ordered
+// Index is a table's primary key (unique) or a secondary index (hash, and
+// ord when Def.Ordered), as the handle a plan resolves once. A handle
+// outlives DROP INDEX; plans holding one are dropped with the generation.
+type Index struct {
+	// Def is the index's definition; nil for the primary key.
+	Def    *catalog.Index
+	t      *Table
+	cols   []int
+	unique keyMap[RowID]
+	hash   keyMap[[]RowID]
+	ord    *btree.Map[RowID]
+}
+
+// Key is the hash key of an index entry: a value's kind and payload
+// (integer, float bit pattern, or string), equal exactly when
+// types.Value.EncodeKey encodes the values alike (kinds never mix; -0.0 is
+// not 0.0; a NaN equals only the same NaN), or a multi-column key's
+// EncodeKeyTuple string.
+type Key struct {
+	kind types.Kind
+	bits uint64
+	s    string
+}
+
+// KeyOf returns the one-column key of v.
+func KeyOf(v types.Value) Key {
+	switch v.Kind {
+	case types.KindNull:
+		return Key{}
+	case types.KindFloat:
+		return Key{kind: v.Kind, bits: math.Float64bits(v.F)}
+	case types.KindString:
+		return Key{kind: v.Kind, s: v.S}
+	case types.KindBool:
+		return Key{kind: v.Kind, bits: uint64(byte(v.I))}
+	default:
+		return Key{kind: v.Kind, bits: uint64(v.I)}
+	}
+}
+
+// keyMap maps index keys to V. One-column BIGINT keys, the common case,
+// have a map of their own: 8-byte keys on the runtime's fast path.
+type keyMap[V any] struct {
+	ints  map[int64]V
+	other map[Key]V
+}
+
+func newKeyMap[V any]() keyMap[V] { return keyMap[V]{ints: map[int64]V{}, other: map[Key]V{}} }
+
+func (m keyMap[V]) get(k Key) (V, bool) {
+	if k.kind == types.KindInt {
+		v, ok := m.ints[int64(k.bits)]
+		return v, ok
+	}
+	v, ok := m.other[k]
+	return v, ok
+}
+
+func (m keyMap[V]) set(k Key, v V) {
+	if k.kind == types.KindInt {
+		m.ints[int64(k.bits)] = v
+	} else {
+		m.other[k] = v
+	}
+}
+
+func (m keyMap[V]) del(k Key) {
+	if k.kind == types.KindInt {
+		delete(m.ints, int64(k.bits))
+	} else {
+		delete(m.other, k)
+	}
+}
+
+// TupleKey returns the key of a key tuple: KeyOf its value for one column.
+func TupleKey(vals []types.Value) Key {
+	if len(vals) == 1 {
+		return KeyOf(vals[0])
+	}
+	return Key{s: types.EncodeKeyTuple(vals)}
 }
 
 // NewTable creates storage for the given schema.
 func NewTable(schema *catalog.TableSchema) *Table {
 	t := &Table{
 		schema:  schema,
-		indexes: make(map[string]*tableIndex),
+		indexes: make(map[string]*Index),
 	}
 	if schema.HasPrimaryKey() {
-		t.pk = make(map[string]RowID)
+		t.pk = &Index{t: t, cols: schema.PrimaryKeyIndexes(), unique: newKeyMap[RowID]()}
 	}
 	return t
 }
@@ -117,13 +194,26 @@ func rowBytes(r Row) int64 {
 	return n
 }
 
-// keyFor extracts and encodes the index key columns from a row.
-func keyFor(cols []int, row Row) string {
-	vals := make([]types.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = row[c]
+// keyFor returns the index key of a row's cols.
+func keyFor(cols []int, row Row) Key {
+	if len(cols) == 1 {
+		return KeyOf(row[cols[0]])
 	}
-	return types.EncodeKeyTuple(vals)
+	return Key{s: string(encodeCols(nil, cols, row))}
+}
+
+// encodeCols appends the EncodeKeyTuple encoding of a row's cols to dst.
+func encodeCols(dst []byte, cols []int, row Row) []byte {
+	for _, c := range cols {
+		dst = row[c].EncodeKey(dst)
+	}
+	return dst
+}
+
+// ordKey is a row's ordered-index entry: its key tuple's encoding, a zero
+// byte and its row id big-endian, so equal keys stay distinct per row.
+func ordKey(cols []int, row Row, id RowID) string {
+	return string(binary.BigEndian.AppendUint64(append(encodeCols(nil, cols, row), 0), uint64(id)))
 }
 
 // Insert appends a row, enforcing the primary key, and returns its RowID.
@@ -141,10 +231,10 @@ func (t *Table) Insert(row Row, ts int64) (RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	var pkKey string
+	var pkKey Key
 	if t.pk != nil {
-		pkKey = keyFor(t.schema.PrimaryKeyIndexes(), row)
-		if _, dup := t.pk[pkKey]; dup {
+		pkKey = keyFor(t.pk.cols, row)
+		if _, dup := t.pk.unique.get(pkKey); dup {
 			return 0, fmt.Errorf("storage: duplicate primary key in table %s", t.schema.Name)
 		}
 	}
@@ -162,7 +252,7 @@ func (t *Table) Insert(row Row, ts int64) (RowID, error) {
 	t.bytes += rowBytes(row)
 
 	if t.pk != nil {
-		t.pk[pkKey] = id
+		t.pk.unique.set(pkKey, id)
 	}
 	for _, idx := range t.indexes {
 		idx.insert(row, id)
@@ -187,7 +277,7 @@ func (t *Table) deleteLocked(id RowID, ts int64) error {
 		t.history = append(t.history, version{row: s.row, sysStart: s.sysStart, sysEnd: ts})
 	}
 	if t.pk != nil {
-		delete(t.pk, keyFor(t.schema.PrimaryKeyIndexes(), s.row))
+		t.pk.unique.del(keyFor(t.pk.cols, s.row))
 	}
 	for _, idx := range t.indexes {
 		idx.remove(s.row, id)
@@ -218,14 +308,14 @@ func (t *Table) Update(id RowID, newRow Row, ts int64) error {
 	}
 	s := &t.slots[id]
 	if t.pk != nil {
-		oldKey := keyFor(t.schema.PrimaryKeyIndexes(), s.row)
-		newKey := keyFor(t.schema.PrimaryKeyIndexes(), newRow)
+		oldKey := keyFor(t.pk.cols, s.row)
+		newKey := keyFor(t.pk.cols, newRow)
 		if oldKey != newKey {
-			if _, dup := t.pk[newKey]; dup {
+			if _, dup := t.pk.unique.get(newKey); dup {
 				return fmt.Errorf("storage: duplicate primary key in table %s", t.schema.Name)
 			}
-			delete(t.pk, oldKey)
-			t.pk[newKey] = id
+			t.pk.unique.del(oldKey)
+			t.pk.unique.set(newKey, id)
 		}
 	}
 	if t.schema.Temporal {
@@ -258,7 +348,7 @@ func (t *Table) LookupPK(key []types.Value) (RowID, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id, ok := t.pk[types.EncodeKeyTuple(key)]
+	id, ok := t.pk.unique.get(TupleKey(key))
 	return id, ok
 }
 
@@ -331,7 +421,7 @@ func (t *Table) CreateIndex(def *catalog.Index) error {
 	if _, exists := t.indexes[key]; exists {
 		return fmt.Errorf("storage: index %s already exists on table %s", def.Name, t.schema.Name)
 	}
-	idx := &tableIndex{def: def, cols: cols, hash: make(map[string][]RowID)}
+	idx := &Index{Def: def, t: t, cols: cols, hash: newKeyMap[[]RowID]()}
 	if def.Ordered {
 		idx.ord = btree.New[RowID]()
 	}
@@ -355,62 +445,88 @@ func (t *Table) DropIndex(name string) error {
 	return nil
 }
 
-// IndexNames lists the index names present on this table.
-func (t *Table) IndexNames() []string {
+// PrimaryKey returns the primary key index, or nil without a primary key.
+func (t *Table) PrimaryKey() *Index { return t.pk }
+
+// Index returns the secondary index called name, or nil.
+func (t *Table) Index(name string) *Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		out = append(out, n)
-	}
-	return out
+	return t.indexes[name]
 }
 
-// FindIndex returns the name of an index whose leading columns exactly match
-// the given column ordinals, or "" if none exists.
-func (t *Table) FindIndex(cols []int) string {
+// Probe visits the live rows whose key is one of keys, under one shared
+// lock of the table, until fn returns false, and returns how many it found.
+// Keys go in order, a key's rows in posting order; a repeated key is
+// skipped, so no row comes twice. A nil fn only sums the distinct keys'
+// posting lengths. fn must not modify the row, nor take the table's lock.
+func (ix *Index) Probe(keys []Key, fn func(Row) bool) int {
+	t := ix.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for name, idx := range t.indexes {
-		if len(idx.cols) != len(cols) {
+	hit := hits{keys: len(keys)}
+	var one [1]RowID
+	n := 0
+	for _, k := range keys {
+		ids, _ := ix.hash.get(k)
+		if id, ok := ix.unique.get(k); ok {
+			one[0] = id
+			ids = one[:]
+		}
+		if len(ids) == 0 || !hit.first(ids[0]) {
 			continue
 		}
-		match := true
-		for i := range cols {
-			if idx.cols[i] != cols[i] {
-				match = false
-				break
+		n += len(ids)
+		for _, id := range ids {
+			if fn != nil && !fn(t.slots[id].row) {
+				return n
 			}
 		}
-		if match {
-			return name
-		}
 	}
-	return ""
+	return n
 }
 
-// IndexLookup returns the RowIDs whose indexed columns equal key.
-func (t *Table) IndexLookup(name string, key []types.Value) ([]RowID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: index %s does not exist on table %s", name, t.schema.Name)
-	}
-	ids := idx.hash[types.EncodeKeyTuple(key)]
-	out := make([]RowID, len(ids))
-	copy(out, ids)
-	return out, nil
+// hits remembers the keys a probe has found (a repeated miss finds nothing
+// again), each by its posting's first row: distinct keys have disjoint
+// postings. A frontier's probe hits few keys, so they are compared pairwise
+// and moved to a set, sized for every key, only past a handful.
+type hits struct {
+	few  [16]RowID
+	n    int
+	many map[RowID]struct{}
+	keys int
 }
 
-// IndexRange scans an ordered index between lo and hi (inclusive bounds may
-// be nil for open ends), invoking fn per matching row id.
-func (t *Table) IndexRange(name string, lo, hi []types.Value, fn func(id RowID) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[name]
-	if !ok || idx.ord == nil {
-		return fmt.Errorf("storage: ordered index %s does not exist on table %s", name, t.schema.Name)
+// first reports whether the key whose posting starts at id was not seen
+// before, and remembers it.
+func (h *hits) first(id RowID) bool {
+	if h.many != nil {
+		_, dup := h.many[id]
+		h.many[id] = struct{}{}
+		return !dup
+	}
+	if slices.Contains(h.few[:h.n], id) {
+		return false
+	}
+	if h.n < len(h.few) {
+		h.few[h.n] = id
+		h.n++
+		return true
+	}
+	h.many = make(map[RowID]struct{}, h.keys)
+	for _, seen := range h.few {
+		h.many[seen] = struct{}{}
+	}
+	h.many[id] = struct{}{}
+	return true
+}
+
+// Range visits, under one shared lock of the table, the live rows of an
+// ordered index between lo and hi (inclusive; nil is an open end) in key
+// order, until fn returns false.
+func (ix *Index) Range(lo, hi []types.Value, fn func(Row) bool) error {
+	if ix.ord == nil {
+		return fmt.Errorf("storage: index on table %s is not ordered", ix.t.schema.Name)
 	}
 	var loKey, hiKey string
 	if lo != nil {
@@ -419,24 +535,28 @@ func (t *Table) IndexRange(name string, lo, hi []types.Value, fn func(id RowID) 
 	if hi != nil {
 		hiKey = types.EncodeKeyTuple(hi) + "\xff" // inclusive upper bound
 	}
-	idx.ord.AscendRange(loKey, hiKey, hi == nil, func(_ string, id RowID) bool {
-		return fn(id)
+	t := ix.t
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ix.ord.AscendRange(loKey, hiKey, hi == nil, func(_ string, id RowID) bool {
+		return fn(t.slots[id].row)
 	})
 	return nil
 }
 
-func (ix *tableIndex) insert(row Row, id RowID) {
+func (ix *Index) insert(row Row, id RowID) {
 	k := keyFor(ix.cols, row)
-	ix.hash[k] = append(ix.hash[k], id)
+	ids, _ := ix.hash.get(k)
+	ix.hash.set(k, append(ids, id))
 	if ix.ord != nil {
 		// Append the row id to make ordered keys unique per row.
-		ix.ord.Set(k+"\x00"+string(encodeRowID(id)), id)
+		ix.ord.Set(ordKey(ix.cols, row, id), id)
 	}
 }
 
-func (ix *tableIndex) remove(row Row, id RowID) {
+func (ix *Index) remove(row Row, id RowID) {
 	k := keyFor(ix.cols, row)
-	ids := ix.hash[k]
+	ids, _ := ix.hash.get(k)
 	for i, x := range ids {
 		if x == id {
 			ids[i] = ids[len(ids)-1]
@@ -445,21 +565,11 @@ func (ix *tableIndex) remove(row Row, id RowID) {
 		}
 	}
 	if len(ids) == 0 {
-		delete(ix.hash, k)
+		ix.hash.del(k)
 	} else {
-		ix.hash[k] = ids
+		ix.hash.set(k, ids)
 	}
 	if ix.ord != nil {
-		ix.ord.Delete(k + "\x00" + string(encodeRowID(id)))
+		ix.ord.Delete(ordKey(ix.cols, row, id))
 	}
-}
-
-// encodeRowID renders a RowID as 8 big-endian bytes.
-func encodeRowID(id RowID) []byte {
-	var b [8]byte
-	u := uint64(id)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> uint(56-8*i))
-	}
-	return b[:]
 }

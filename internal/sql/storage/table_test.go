@@ -114,13 +114,11 @@ func TestUpdateMaintainsPKAndIndexes(t *testing.T) {
 	if _, ok := tbl.LookupPK([]types.Value{types.NewInt(2)}); !ok {
 		t.Fatal("new PK not resolvable after update")
 	}
-	ids, err := tbl.IndexLookup("idx_name", []types.Value{types.NewString("Alice")})
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("stale index entry: %v, %v", ids, err)
+	if rows := probeAll(tbl.Index("idx_name"), types.NewString("Alice")); len(rows) != 0 {
+		t.Fatalf("stale index entry: %v", rows)
 	}
-	ids, err = tbl.IndexLookup("idx_name", []types.Value{types.NewString("Bob")})
-	if err != nil || len(ids) != 1 || ids[0] != id {
-		t.Fatalf("index after update = %v, %v", ids, err)
+	if rows := probeAll(tbl.Index("idx_name"), types.NewString("Bob")); len(rows) != 1 || rows[0][0].I != 2 {
+		t.Fatalf("index after update = %v", rows)
 	}
 	// Update colliding with another row's PK must fail.
 	if _, err := tbl.Insert(row(3, "Carol", "", 0), 3); err != nil {
@@ -153,19 +151,41 @@ func TestHashIndexLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids, err := tbl.IndexLookup("idx_sub", []types.Value{types.NewInt(3)})
-	if err != nil {
-		t.Fatal(err)
+	ix := tbl.Index("idx_sub")
+	rows := probeAll(ix, types.NewInt(3))
+	if len(rows) != 10 {
+		t.Fatalf("lookup returned %d rows, want 10", len(rows))
 	}
-	if len(ids) != 10 {
-		t.Fatalf("lookup returned %d rows, want 10", len(ids))
-	}
-	for _, id := range ids {
-		r, _ := tbl.Get(id)
+	for _, r := range rows {
 		if r[3].I != 3 {
 			t.Fatalf("row %v has wrong subscriptionID", r)
 		}
 	}
+	// A key set probes each distinct key once and counts without visiting.
+	rows = probeAll(ix, types.NewInt(3), types.NewInt(4), types.NewInt(3), types.NewFloat(4), types.NewString("4"))
+	if len(rows) != 20 {
+		t.Fatalf("key set probe returned %d rows, want 20", len(rows))
+	}
+	if n := ix.Probe([]Key{KeyOf(types.NewInt(3)), KeyOf(types.NewInt(3)), KeyOf(types.NewInt(42))}, nil); n != 10 {
+		t.Fatalf("count = %d, want 10", n)
+	}
+	if n := tbl.PrimaryKey().Probe([]Key{KeyOf(types.NewInt(1)), KeyOf(types.NewInt(1)), KeyOf(types.NewInt(99)), KeyOf(types.NewInt(100))}, nil); n != 2 {
+		t.Fatalf("primary key count = %d, want 2", n)
+	}
+}
+
+// probeAll collects the rows a probe of ix with vals visits.
+func probeAll(ix *Index, vals ...types.Value) []Row {
+	keys := make([]Key, len(vals))
+	for i, v := range vals {
+		keys[i] = KeyOf(v)
+	}
+	var out []Row
+	ix.Probe(keys, func(r Row) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
 }
 
 func TestCreateIndexOnPopulatedTable(t *testing.T) {
@@ -176,9 +196,8 @@ func TestCreateIndexOnPopulatedTable(t *testing.T) {
 	if err := tbl.CreateIndex(&catalog.Index{Name: "late", Table: "Patient", Columns: []string{"subscriptionID"}}); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := tbl.IndexLookup("late", []types.Value{types.NewInt(7)})
-	if len(ids) != 1 {
-		t.Fatalf("late index lookup = %v", ids)
+	if rows := probeAll(tbl.Index("late"), types.NewInt(7)); len(rows) != 1 {
+		t.Fatalf("late index lookup = %v", rows)
 	}
 }
 
@@ -191,10 +210,9 @@ func TestOrderedIndexRange(t *testing.T) {
 		tbl.Insert(row(i, "n", "", i), int64(i))
 	}
 	var got []int64
-	err := tbl.IndexRange("ord_sub",
+	err := tbl.Index("ord_sub").Range(
 		[]types.Value{types.NewInt(10)}, []types.Value{types.NewInt(15)},
-		func(id RowID) bool {
-			r, _ := tbl.Get(id)
+		func(r Row) bool {
 			got = append(got, r[3].I)
 			return true
 		})
@@ -208,20 +226,6 @@ func TestOrderedIndexRange(t *testing.T) {
 		if v != int64(10+i) {
 			t.Fatalf("range order wrong: %v", got)
 		}
-	}
-}
-
-func TestFindIndex(t *testing.T) {
-	tbl := NewTable(patientSchema(false))
-	tbl.CreateIndex(&catalog.Index{Name: "idx_ns", Table: "Patient", Columns: []string{"name", "subscriptionID"}})
-	if got := tbl.FindIndex([]int{1, 3}); got != "idx_ns" {
-		t.Fatalf("FindIndex = %q", got)
-	}
-	if got := tbl.FindIndex([]int{3, 1}); got != "" {
-		t.Fatalf("FindIndex wrong order matched: %q", got)
-	}
-	if got := tbl.FindIndex([]int{1}); got != "" {
-		t.Fatalf("FindIndex prefix matched: %q", got)
 	}
 }
 
