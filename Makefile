@@ -25,13 +25,14 @@ test:
 
 # cluster-faults runs the sharded-coordinator chaos suite — shard map and
 # partition invariants, breaker lifecycle, retry/health behavior,
-# server drain, the GraphOp wire checks (round trip, malformed count ops
-# and replies, the reply fuzz seeds), and the four-backend
+# server drain, the GraphOp wire checks (round trip, binary frame codec,
+# oversized and malformed frames, malformed count ops and replies, the
+# request and reply fuzz seeds), and the four-backend
 # RunClusterFaults differential — twice under the race detector to shake
 # out timing-dependent flakes.
 cluster-faults:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip|GraphOpCount|GraphOpReply' \
+		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip|GraphOpCount|GraphOpReply|GraphOpRequest|FrameRoundTrip|OversizedFrame|MalformedFrames' \
 		./internal/cluster/ ./internal/graph/graphtest/clustertest/ \
 		./internal/gserver/ ./internal/core/ ./internal/gdbx/ ./internal/janus/
 

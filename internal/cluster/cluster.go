@@ -1004,7 +1004,9 @@ func (s *shard) attempt(ctx context.Context, op gserver.GraphOp) (reply, error) 
 			var resp gserver.Response
 			resp, err = cl.GraphOpCtx(ctx, op)
 			// Decoding the reply payload is part of the exchange, as
-			// decoding the JSON frame around it is.
+			// reading the binary frame around it is. The payload is the
+			// client's own copy, so decoding it here, after the client
+			// is free for the next exchange, is safe.
 			if err == nil {
 				rep, err = s.decode(op, resp)
 			}

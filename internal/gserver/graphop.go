@@ -3,13 +3,14 @@
 // executes one graph.Backend / graph.BatchBackend read directly against the
 // server's backend, under the same lifecycle as a query (admission control,
 // deadline, panic isolation). The cluster coordinator speaks this protocol
-// to scatter batched lookups to shard servers. An element read reply
-// carries its elements in one shape: a binary graphenc.ColumnBatch in
-// Response.Columns that round-trips graph.Element bit-exactly (NaN and
-// signed-zero floats included), minus the provider-opaque Ref field, which
-// is an optimization hint, not data. A CountVertexEdges reply carries one
-// integer in Response.Count instead. WireElement is the JSON element shape
-// of mutation and replication payloads only.
+// to scatter batched lookups to shard servers. Reads travel as binary
+// frames in both directions (frame.go). An element read reply carries its
+// elements in one shape: a binary graphenc.ColumnBatch in Response.Columns
+// that round-trips graph.Element bit-exactly (NaN and signed-zero floats
+// included), minus the provider-opaque Ref field, which is an optimization
+// hint, not data. A CountVertexEdges reply carries one integer in
+// Response.Count instead. Mutations stay JSON lines; WireElement is the
+// JSON element shape of mutation and replication payloads only.
 package gserver
 
 import (
@@ -46,10 +47,11 @@ const (
 	OpAddEdge   = "AddEdge"
 )
 
-// GraphOp is one remote backend read. Exactly one Method is named; IDs and
-// Dir are consumed only by the methods that take them. Query serializes
-// graph.Query directly (all fields are exported and JSON-exact, including
-// the nil-vs-empty Projection distinction).
+// GraphOp is one remote backend operation. Exactly one Method is named; IDs
+// and Dir are consumed only by the methods that take them. A read's binary
+// frame carries Method, IDs, Dir, Query (with the nil-vs-empty Projection
+// distinction and predicate values bit-exact) and Epoch; the JSON tags
+// serve the mutations.
 type GraphOp struct {
 	// Method is one of the Op* constants.
 	Method string `json:"method"`
@@ -171,8 +173,8 @@ func (s *Server) countResponse(ctx context.Context, op *GraphOp) Response {
 	return Response{Count: &v.I}
 }
 
-// elementReply is a read op's result awaiting serialization into
-// Response.Columns. grouped marks an EdgesForVertices result, whose groups
+// elementReply is a read op's result awaiting serialization into the
+// reply frame. grouped marks an EdgesForVertices result, whose groups
 // may legitimately be nil.
 type elementReply struct {
 	els     []*graph.Element

@@ -1,13 +1,10 @@
 package gserver
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
 	"db2graph/internal/graph"
-	"db2graph/internal/graphenc"
-	"db2graph/internal/sql/types"
 )
 
 // TestGraphOpCountMalformed: a count op with a direction outside
@@ -57,63 +54,4 @@ func TestGraphOpCountMalformed(t *testing.T) {
 	if _, _, err := (&Response{Columns: elems.Columns, Count: &two}).ElementBatch(); err == nil {
 		t.Fatal("element reply carrying a count decoded")
 	}
-}
-
-// FuzzGraphOpReply: an arbitrary response line, read as the client reads
-// it, goes through both read-reply decoders. Each either errors or yields
-// a well-formed reply, and never both: one count with no element batch, or
-// an element batch (with aligned groups) with no count.
-func FuzzGraphOpReply(f *testing.F) {
-	e := &graph.Element{ID: "e1", Label: "knows", IsEdge: true, OutV: "a", InV: "b",
-		Props: map[string]types.Value{"w": types.NewFloat(1.5)}}
-	v := &graph.Element{ID: "a", Label: "user"}
-	line := func(r Response) []byte {
-		b, err := json.Marshal(r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	zero, three, neg := int64(0), int64(3), int64(-4)
-	flat := graphenc.AppendColumns(nil, graph.ColumnizeElements([]*graph.Element{v, nil, e}))
-	grouped := graphenc.AppendColumns(nil, graph.ColumnizeGroups([][]*graph.Element{{e}, nil, {}}))
-	f.Add(line(Response{Count: &zero}))
-	f.Add(line(Response{Count: &three}))
-	f.Add(line(Response{Count: &neg}))
-	f.Add(line(Response{Columns: flat}))
-	f.Add(line(Response{Columns: grouped}))
-	f.Add(line(Response{Columns: flat, Count: &three}))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"count":null}`))
-	f.Add([]byte(`{"count":1.5}`))
-	f.Add([]byte(`{"count":9223372036854775808}`))
-	f.Add([]byte(`{"columns":"!!"}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var r Response
-		if err := json.Unmarshal(data, &r); err != nil {
-			return
-		}
-		n, cerr := r.EdgeCount()
-		els, groups, eerr := r.ElementBatch()
-		if cerr == nil && eerr == nil {
-			t.Fatalf("reply decoded both as count %d and as %d elements", n, len(els))
-		}
-		if cerr == nil && (r.Count == nil || n != *r.Count || n < 0 || len(r.Columns) != 0) {
-			t.Fatalf("count %d decoded from a malformed count reply", n)
-		}
-		if eerr == nil {
-			if r.Count != nil {
-				t.Fatal("element reply carrying a count decoded")
-			}
-			if groups != nil {
-				total := 0
-				for _, g := range groups {
-					total += len(g)
-				}
-				if total != len(els) {
-					t.Fatalf("groups hold %d edges, batch %d", total, len(els))
-				}
-			}
-		}
-	})
 }

@@ -2,7 +2,9 @@
 // that accepts Gremlin scripts over a line-delimited JSON protocol and
 // executes them against a graph backend, plus the matching client. The
 // paper runs all three systems in server mode answering localhost clients;
-// this package provides that deployment shape.
+// this package provides that deployment shape. The raw backend reads the
+// cluster coordinator sends travel as binary frames on the same connection
+// (frame.go).
 //
 // The server enforces a query lifecycle: every query runs under a
 // context.Context carrying a deadline (server default, optionally shortened
@@ -14,7 +16,6 @@ package gserver
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -154,19 +155,20 @@ type Response struct {
 	Profile any `json:"profile,omitempty"`
 	// Columns answers the GraphOp element reads (V, E, VerticesByIDs,
 	// EdgesForVertices) with one binary element batch
-	// (graphenc.ColumnBatch bytes, base64 in JSON): property keys shared
-	// across the batch are named once instead of once per element, and
-	// float properties travel as raw bits, so NaN and ±Inf survive. Decode
-	// with Response.ElementBatch. Gremlin script Results stay JSON and so
-	// cannot carry a NaN or ±Inf value.
-	Columns []byte `json:"columns,omitempty"`
+	// (graphenc.ColumnBatch bytes): property keys shared across the batch
+	// are named once instead of once per element, and float properties
+	// travel as raw bits, so NaN and ±Inf survive. Decode with
+	// Response.ElementBatch. Gremlin script Results stay JSON and so cannot
+	// carry a NaN or ±Inf value. Columns and Count travel only in binary
+	// reply frames (frame.go), never in the JSON shape.
+	Columns []byte `json:"-"`
 	// Count answers CountVertexEdges with one integer instead of the
-	// counted edges. It is a pointer so that a count of 0 survives
-	// omitempty. Decode with Response.EdgeCount.
-	Count *int64 `json:"count,omitempty"`
-	// reply is a read op's result until writeResponse encodes it into
-	// Columns: element serialization belongs to the frame encoding, which
-	// runs after the request's timed execution.
+	// counted edges. It is a pointer so that a reply without a count is
+	// distinguishable from a count of 0. Decode with Response.EdgeCount.
+	Count *int64 `json:"-"`
+	// reply is a read op's result until writeResponse encodes it into the
+	// reply frame: element serialization belongs to the frame encoding,
+	// which runs after the request's timed execution.
 	reply *elementReply
 	// Health answers the "!health" control request.
 	Health *HealthInfo `json:"health,omitempty"`
@@ -179,7 +181,9 @@ type Response struct {
 type Config struct {
 	// QueryTimeout is the default per-query deadline (default 30s).
 	QueryTimeout time.Duration
-	// MaxRequestBytes caps one request line (default 1 MiB).
+	// MaxRequestBytes caps one request: a JSON line, or a binary frame's
+	// announced body length, checked before the body is read (default
+	// 1 MiB).
 	MaxRequestBytes int
 	// MaxConcurrent caps queries executing simultaneously; excess requests
 	// fast-fail with CodeOverloaded (default 64).
@@ -407,27 +411,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	writer := bufio.NewWriter(conn)
-	scanner := bufio.NewScanner(conn)
-	// +1 so a line of exactly MaxRequestBytes still fits its delimiter.
-	scanner.Buffer(make([]byte, 4096), s.cfg.MaxRequestBytes+1)
+	// Default-size buffers: a frame larger than the reader's buffer is read
+	// through it, and every connection pays for its buffers in heap.
+	frames := &frameReader{r: bufio.NewReader(conn), max: s.cfg.MaxRequestBytes}
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		if !scanner.Scan() {
-			if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-				// Oversized frame: answer with a structured error, then
-				// drop the connection (the stream position is lost).
+		body, bin, err := frames.next()
+		if err != nil {
+			// An oversized or unreadable frame loses the stream position:
+			// answer with a structured error, then drop the connection.
+			switch {
+			case errors.Is(err, errFrameTooLarge):
 				s.writeResponse(conn, writer, Response{
 					Code:  CodeBadRequest,
 					Error: fmt.Sprintf("request exceeds %d bytes", s.cfg.MaxRequestBytes),
-				})
+				}, bin)
+			case errors.Is(err, errBadFrame):
+				s.writeResponse(conn, writer, Response{Code: CodeBadRequest, Error: err.Error()}, bin)
 			}
 			return
-		}
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
 		}
 		s.mu.Lock()
 		s.inflightN++
@@ -435,8 +439,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.inflight.Inc()
 		var resp Response
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		if bin {
+			if req, err = decodeRequest(body); err != nil {
+				resp = Response{Code: CodeBadRequest, Error: "malformed request: " + err.Error()}
+			} else {
+				resp = s.execute(req)
+			}
+		} else if err := json.Unmarshal(body, &req); err != nil {
 			resp = Response{Code: CodeBadRequest, Error: "malformed request: " + err.Error()}
+		} else if isBinaryRequest(req) {
+			resp = Response{Code: CodeBadRequest, Error: fmt.Sprintf("graph op %s travels only as a binary frame", req.GraphOp.Method)}
 		} else if req.GraphOp == nil && strings.HasPrefix(req.Query, "!replicate") {
 			// Replication subscription: the connection is hijacked into a
 			// long-lived record/ack stream and never returns to the
@@ -445,14 +457,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.inflightN--
 			s.mu.Unlock()
 			s.inflight.Dec()
-			s.serveReplication(conn, writer, strings.TrimPrefix(req.Query, "!replicate"))
+			s.serveReplication(conn, frames.r, writer, strings.TrimPrefix(req.Query, "!replicate"))
 			return
 		} else if req.GraphOp == nil && strings.HasPrefix(req.Query, "!") {
 			resp = s.control(req)
 		} else {
 			resp = s.execute(req)
 		}
-		ok := s.writeResponse(conn, writer, resp)
+		ok := s.writeResponse(conn, writer, resp, bin)
 		s.mu.Lock()
 		s.inflightN--
 		s.mu.Unlock()
@@ -463,69 +475,46 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// encBufPool holds the per-frame JSON encode buffers for both wire
-// directions (server responses, client requests). json.Marshal allocates a
-// fresh byte slice per frame; encoding into a pooled bytes.Buffer instead
-// makes steady-state frame encoding allocation-free up to the retained-size
-// cap (DESIGN.md §15).
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// blobPool holds the element-batch encode buffers of read replies.
+// blobPool holds the body buffers of binary frames in both wire directions
+// (read replies, read requests).
 var blobPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledFrame caps the capacity of a buffer returned to encBufPool or
-// blobPool so one giant result frame does not pin its memory forever.
+// maxPooledFrame caps the capacity of a buffer kept for reuse (blobPool, a
+// frameReader's buffer) so one giant frame does not pin its memory forever.
 const maxPooledFrame = 1 << 20
 
-// marshalFrame encodes v as one newline-terminated JSON frame into a pooled
-// buffer. The caller must pass the buffer to putFrame once the bytes have
-// been written out.
-func marshalFrame(v any) (*bytes.Buffer, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		putFrame(buf)
-		return nil, err
-	}
-	return buf, nil
-}
+// getBlob and putBlob lend a binary frame body buffer from blobPool.
+func getBlob() *[]byte { return blobPool.Get().(*[]byte) }
 
-// putFrame returns an encode buffer to the pool.
-func putFrame(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrame {
-		encBufPool.Put(buf)
+func putBlob(blob *[]byte, body []byte) {
+	if cap(body) <= maxPooledFrame {
+		*blob = body
+		blobPool.Put(blob)
 	}
 }
 
-// writeResponse marshals and flushes one response frame. A marshal failure
-// degrades to a structured INTERNAL error frame instead of being dropped.
-func (s *Server) writeResponse(conn net.Conn, writer *bufio.Writer, resp Response) bool {
-	if resp.reply != nil {
-		// The frame encoder copies the batch (as base64), so its buffer
-		// goes back to the pool once the frame is encoded.
-		blob := blobPool.Get().(*[]byte)
-		resp.Columns = resp.reply.appendTo((*blob)[:0])
-		defer func() {
-			if cap(resp.Columns) <= maxPooledFrame {
-				*blob = resp.Columns
-				blobPool.Put(blob)
-			}
-		}()
-	}
-	buf, err := marshalFrame(resp)
-	if err != nil {
-		// Strings-only payload; cannot fail again.
-		buf, _ = marshalFrame(Response{
-			Code:  CodeInternal,
-			Error: "response marshal failed: " + err.Error(),
-		})
-	}
-	defer putFrame(buf)
+// writeResponse encodes and flushes one response frame: a binary reply to a
+// binary request, else a JSON line. A JSON marshal failure degrades to a
+// structured INTERNAL error frame instead of being dropped.
+func (s *Server) writeResponse(conn net.Conn, writer *bufio.Writer, resp Response, bin bool) bool {
 	if s.cfg.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	if _, err := writer.Write(buf.Bytes()); err != nil {
-		return false
+	if bin {
+		blob := getBlob()
+		body := appendReply((*blob)[:0], &resp)
+		err := writeBinaryFrame(writer, body)
+		putBlob(blob, body)
+		return err == nil && writer.Flush() == nil
+	}
+	// An Encoder writes nothing unless the whole value marshals.
+	enc := json.NewEncoder(writer)
+	if err := enc.Encode(resp); err != nil {
+		// Strings-only payload; cannot fail again.
+		enc.Encode(Response{
+			Code:  CodeInternal,
+			Error: "response marshal failed: " + err.Error(),
+		})
 	}
 	return writer.Flush() == nil
 }
@@ -958,10 +947,10 @@ type Client struct {
 	addr string
 	opts Options
 
-	mu   sync.Mutex
-	conn net.Conn
-	dec  *json.Decoder
-	w    *bufio.Writer
+	mu     sync.Mutex
+	conn   net.Conn
+	frames *frameReader
+	w      *bufio.Writer
 
 	// liveMu guards live, a duplicate of conn that Abort can reach without
 	// taking mu (which an in-flight exchange holds for its full duration).
@@ -1028,7 +1017,9 @@ func (c *Client) redialLocked(ctx context.Context) error {
 		conn, err := d.DialContext(ctx, "tcp", c.addr)
 		if err == nil {
 			c.conn = conn
-			c.dec = json.NewDecoder(bufio.NewReader(conn))
+			// Reply bodies are fresh: a reply's Columns is decoded after
+			// the exchange releases the connection.
+			c.frames = &frameReader{r: bufio.NewReader(conn), fresh: true}
 			c.w = bufio.NewWriter(conn)
 			c.setLive(conn)
 			return nil
@@ -1255,23 +1246,37 @@ func (c *Client) roundTripLocked(ctx context.Context, req Request) (Response, er
 	conn := c.conn
 	stopCancel := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	defer stopCancel()
-	buf, err := marshalFrame(req)
-	if err != nil {
-		return Response{}, err
-	}
-	_, err = c.w.Write(buf.Bytes())
-	putFrame(buf)
-	if err != nil {
+	if err := c.writeRequest(req); err != nil {
 		return Response{}, err
 	}
 	if err := c.w.Flush(); err != nil {
 		return Response{}, err
 	}
+	body, bin, err := c.frames.next()
+	if err != nil {
+		return Response{}, err
+	}
+	if bin {
+		return decodeReply(body)
+	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := json.Unmarshal(body, &resp); err != nil {
 		return Response{}, err
 	}
 	return resp, nil
+}
+
+// writeRequest buffers one request frame: a binary frame for a GraphOp
+// read, else a JSON line.
+func (c *Client) writeRequest(req Request) error {
+	if isBinaryRequest(req) {
+		blob := getBlob()
+		body := appendRequest((*blob)[:0], req)
+		err := writeBinaryFrame(c.w, body)
+		putBlob(blob, body)
+		return err
+	}
+	return json.NewEncoder(c.w).Encode(req)
 }
 
 // Close closes the connection.

@@ -452,7 +452,7 @@ func (s *Server) fence(arg string) Response {
 // "!replicate <fromSeq>" request: records stream out, acks stream in, and
 // heartbeats flow whenever the log is quiet so the follower can track lag.
 // It returns when the connection dies or the server closes.
-func (s *Server) serveReplication(conn net.Conn, w *bufio.Writer, arg string) {
+func (s *Server) serveReplication(conn net.Conn, r *bufio.Reader, w *bufio.Writer, arg string) {
 	writeFrame := func(f repFrame) bool {
 		data, err := json.Marshal(f)
 		if err != nil {
@@ -502,7 +502,8 @@ func (s *Server) serveReplication(conn net.Conn, w *bufio.Writer, arg string) {
 	defer cancel()
 	go func() {
 		defer cancel()
-		dec := json.NewDecoder(bufio.NewReader(conn))
+		// The request loop's reader: it may already hold buffered acks.
+		dec := json.NewDecoder(r)
 		for {
 			var ack repAck
 			conn.SetReadDeadline(time.Time{})
