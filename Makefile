@@ -27,12 +27,12 @@ test:
 # partition invariants, breaker lifecycle, retry/health behavior,
 # server drain, the GraphOp wire checks (round trip, binary frame codec,
 # oversized and malformed frames, malformed count ops and replies, the
-# request and reply fuzz seeds), and the four-backend
+# request and reply fuzz seeds, projected replies), and the four-backend
 # RunClusterFaults differential — twice under the race detector to shake
 # out timing-dependent flakes.
 cluster-faults:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip|GraphOpCount|GraphOpReply|GraphOpRequest|FrameRoundTrip|OversizedFrame|MalformedFrames' \
+		-run 'ClusterFaults|Breaker|ShardMap|Partition|JitteredBackoff|RetryDelay|RetryStops|Health|CloseDrains|GraphOpRoundTrip|GraphOpCount|GraphOpReply|GraphOpRequest|GraphOpProjected|FrameRoundTrip|OversizedFrame|MalformedFrames' \
 		./internal/cluster/ ./internal/graph/graphtest/clustertest/ \
 		./internal/gserver/ ./internal/core/ ./internal/gdbx/ ./internal/janus/
 

@@ -857,6 +857,9 @@ func (g *Graph) EdgeVertices(ctx context.Context, edges []*graph.Element, dir gr
 		}
 		q2 := q.Clone()
 		q2.IDs = fetch
+		if cacheable {
+			q2.Projection = nil // fill the cache with full rows
+		}
 		var els []*graph.Element
 		var err error
 		if gr.vm != nil {

@@ -37,13 +37,26 @@ func (g *Graph) CacheMetrics() map[string]graph.CacheStats {
 
 // cacheableQuery reports whether results for q can be keyed by element id
 // alone: the live graph (snapshots read historical states the version tags
-// don't describe) and an unrestricted query (filters or projections would
-// have to join the key).
+// don't describe) and an unrestricted query (filters or a non-empty
+// projection would have to join the key). An empty projection qualifies: a
+// cached entry is the full element, and a backend may return more
+// properties than a projection names. A cacheable miss fetches full rows
+// (fullRows), so the caches never hold a projected element.
 func (g *Graph) cacheableQuery(q *graph.Query) bool {
 	if g.opts.SnapshotTime != 0 {
 		return false
 	}
-	return q == nil || (len(q.Labels) == 0 && len(q.Preds) == 0 && q.Projection == nil)
+	return q == nil || (len(q.Labels) == 0 && len(q.Preds) == 0 && len(q.Projection) == 0)
+}
+
+// fullRows returns q without its projection, for a cacheable miss.
+func fullRows(q *graph.Query) *graph.Query {
+	if q == nil || q.Projection == nil {
+		return q
+	}
+	full := *q
+	full.Projection = nil
+	return &full
 }
 
 // VerticesByIDs implements graph.BatchBackend. The miss set resolves with
@@ -75,7 +88,7 @@ func (g *Graph) VerticesByIDs(ctx context.Context, ids []string, q *graph.Query)
 		if len(missing) == 0 {
 			return out, nil
 		}
-		els, err := g.fetchVerticesByIDs(ctx, missing, q)
+		els, err := g.fetchVerticesByIDs(ctx, missing, fullRows(q))
 		if err != nil {
 			return nil, err
 		}
@@ -145,6 +158,7 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	missSlots := make(map[string][]int, len(vids)) // vid -> result slots
 	var missing []string
 	if cacheable {
+		q = fullRows(q)
 		version = g.DataVersion()
 		for i, vid := range vids {
 			if group, ok := g.adjCache.Get(adjKey(vid, dir), version); ok {

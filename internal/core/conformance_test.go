@@ -185,6 +185,10 @@ func TestDupFrontierCounts(t *testing.T) {
 	graphtest.RunDupFrontierCounts(t, buildOverlayBackend(DefaultOptions()))
 }
 
+func TestLivenessDifferential(t *testing.T) {
+	graphtest.RunLivenessDifferential(t, buildOverlayBackend(DefaultOptions()))
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, buildOverlayBackend(DefaultOptions()))
 }

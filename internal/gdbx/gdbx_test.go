@@ -89,6 +89,12 @@ func TestDupFrontierCounts(t *testing.T) {
 	})
 }
 
+func TestLivenessDifferential(t *testing.T) {
+	graphtest.RunLivenessDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
+		return load(vs, es, Config{PrefetchOnOpen: true})
+	})
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
 		return load(vs, es, Config{PrefetchOnOpen: true})

@@ -5,7 +5,9 @@
 // travels in (DESIGN.md §15). The round trip preserves slot alignment
 // exactly: nil slots come back nil, nil groups come back nil and empty
 // groups empty, edges keep their endpoints, and an element with no
-// properties comes back with a nil Props map.
+// properties comes back with a nil Props map. A projection narrows the
+// batch to the named keys (Query.Projection: nil keeps every property,
+// empty keeps none); ids, labels, tables and endpoints always travel.
 package graph
 
 import (
@@ -16,15 +18,16 @@ import (
 )
 
 // ColumnizeElements groups an aligned element slice (vertices, edges, or
-// both) by property key into an ungrouped batch.
-func ColumnizeElements(els []*Element) *graphenc.ColumnBatch {
-	return columnize(els, nil)
+// both) by property key into an ungrouped batch carrying the properties
+// proj names.
+func ColumnizeElements(els []*Element, proj []string) *graphenc.ColumnBatch {
+	return columnize(els, nil, proj)
 }
 
 // ColumnizeGroups flattens per-vertex element groups (an EdgesForVertices
-// result) into one grouped batch, so property keys shared across groups are
-// named once per batch.
-func ColumnizeGroups(groups [][]*Element) *graphenc.ColumnBatch {
+// result) into one grouped batch carrying the properties proj names, so
+// property keys shared across groups are named once per batch.
+func ColumnizeGroups(groups [][]*Element, proj []string) *graphenc.ColumnBatch {
 	lens := make([]int, len(groups))
 	n := 0
 	for g, grp := range groups {
@@ -38,12 +41,12 @@ func ColumnizeGroups(groups [][]*Element) *graphenc.ColumnBatch {
 	for _, grp := range groups {
 		flat = append(flat, grp...)
 	}
-	return columnize(flat, lens)
+	return columnize(flat, lens, proj)
 }
 
 // columnize builds the batch. Column order is sorted by key so identical
 // batches encode to identical bytes. Ref is dropped, as on every wire path.
-func columnize(els []*Element, groups []int) *graphenc.ColumnBatch {
+func columnize(els []*Element, groups []int, proj []string) *graphenc.ColumnBatch {
 	n := len(els)
 	strs := make([]string, 5*n)
 	bits := make([]bool, 2*n)
@@ -58,6 +61,20 @@ func columnize(els []*Element, groups []int) *graphenc.ColumnBatch {
 		Groups:  groups,
 	}
 	byKey := map[string]int{}
+	set := func(i int, k string, v types.Value) {
+		c, ok := byKey[k]
+		if !ok {
+			c = len(cb.Cols)
+			byKey[k] = c
+			cb.Cols = append(cb.Cols, graphenc.Column{
+				Key:  k,
+				Has:  make([]bool, n),
+				Vals: make([]types.Value, n),
+			})
+		}
+		cb.Cols[c].Has[i] = true
+		cb.Cols[c].Vals[i] = v
+	}
 	for i, el := range els {
 		if el == nil {
 			continue
@@ -71,19 +88,16 @@ func columnize(els []*Element, groups []int) *graphenc.ColumnBatch {
 			cb.OutV[i] = el.OutV
 			cb.InV[i] = el.InV
 		}
-		for k, v := range el.Props {
-			c, ok := byKey[k]
-			if !ok {
-				c = len(cb.Cols)
-				byKey[k] = c
-				cb.Cols = append(cb.Cols, graphenc.Column{
-					Key:  k,
-					Has:  make([]bool, n),
-					Vals: make([]types.Value, n),
-				})
+		if proj == nil {
+			for k, v := range el.Props {
+				set(i, k, v)
 			}
-			cb.Cols[c].Has[i] = true
-			cb.Cols[c].Vals[i] = v
+			continue
+		}
+		for _, k := range proj {
+			if v, ok := el.Props[k]; ok {
+				set(i, k, v)
+			}
 		}
 	}
 	sort.Slice(cb.Cols, func(a, b int) bool { return cb.Cols[a].Key < cb.Cols[b].Key })

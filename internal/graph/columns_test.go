@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 		{ID: "v3"}, // no label, no table, no props
 		{ID: "v4", Label: "city", Props: map[string]types.Value{}},
 	}
-	blob := graphenc.AppendColumns(nil, ColumnizeElements(els))
+	blob := graphenc.AppendColumns(nil, ColumnizeElements(els, nil))
 	cb, err := graphenc.DecodeColumns(blob)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -93,7 +94,7 @@ func TestColumnsEdgesAndGroups(t *testing.T) {
 	v := &Element{ID: "a", Label: "user", Props: map[string]types.Value{"w": types.NewFloat(math.Inf(-1))}}
 
 	mixed := []*Element{v, e1, nil, e3}
-	cb, err := graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeElements(mixed)))
+	cb, err := graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeElements(mixed, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestColumnsEdgesAndGroups(t *testing.T) {
 	}
 
 	in := [][]*Element{{e1, e2}, nil, {}, {e3}, {e2, e1, e3}}
-	cb, err = graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeGroups(in)))
+	cb, err = graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeGroups(in, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestColumnsEdgesAndGroups(t *testing.T) {
 	}
 
 	// Zero groups is a grouped batch, distinct from an ungrouped one.
-	cb, err = graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeGroups([][]*Element{})))
+	cb, err = graphenc.DecodeColumns(graphenc.AppendColumns(nil, ColumnizeGroups([][]*Element{}, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +146,9 @@ func TestColumnsDeterministic(t *testing.T) {
 		}},
 		{ID: "b", Props: map[string]types.Value{"y": types.NewInt(9)}},
 	}
-	first := graphenc.AppendColumns(nil, ColumnizeElements(els))
+	first := graphenc.AppendColumns(nil, ColumnizeElements(els, nil))
 	for i := 0; i < 20; i++ {
-		if got := graphenc.AppendColumns(nil, ColumnizeElements(els)); string(got) != string(first) {
+		if got := graphenc.AppendColumns(nil, ColumnizeElements(els, nil)); string(got) != string(first) {
 			t.Fatalf("encoding not deterministic on attempt %d", i)
 		}
 	}
@@ -156,7 +157,7 @@ func TestColumnsDeterministic(t *testing.T) {
 // TestColumnsCorrupt: truncations and garbage fail cleanly, never panic.
 func TestColumnsCorrupt(t *testing.T) {
 	els := []*Element{{ID: "v", Props: map[string]types.Value{"k": types.NewString("s")}}, nil}
-	blob := graphenc.AppendColumns(nil, ColumnizeElements(els))
+	blob := graphenc.AppendColumns(nil, ColumnizeElements(els, nil))
 	for cut := 0; cut < len(blob); cut++ {
 		if _, err := graphenc.DecodeColumns(blob[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
@@ -197,7 +198,7 @@ func TestColumnsNonCanonicalRejected(t *testing.T) {
 }
 
 func TestColumnsEmpty(t *testing.T) {
-	blob := graphenc.AppendColumns(nil, ColumnizeElements(nil))
+	blob := graphenc.AppendColumns(nil, ColumnizeElements(nil, nil))
 	cb, err := graphenc.DecodeColumns(blob)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
@@ -215,9 +216,9 @@ func FuzzDecodeColumns(f *testing.F) {
 		Props: map[string]types.Value{"w": types.NewFloat(math.NaN()), "n": types.Null}}
 	v := &Element{ID: "a", Label: "user", Table: "T", Props: map[string]types.Value{
 		"s": types.NewString("x"), "b": types.NewBool(true), "i": types.NewInt(-3)}}
-	f.Add(graphenc.AppendColumns(nil, ColumnizeElements(nil)))
-	f.Add(graphenc.AppendColumns(nil, ColumnizeElements([]*Element{v, nil, e, {ID: "p"}})))
-	f.Add(graphenc.AppendColumns(nil, ColumnizeGroups([][]*Element{{e}, nil, {}, {e, v}})))
+	f.Add(graphenc.AppendColumns(nil, ColumnizeElements(nil, nil)))
+	f.Add(graphenc.AppendColumns(nil, ColumnizeElements([]*Element{v, nil, e, {ID: "p"}}, nil)))
+	f.Add(graphenc.AppendColumns(nil, ColumnizeGroups([][]*Element{{e}, nil, {}, {e, v}}, nil)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		cb, err := graphenc.DecodeColumns(blob)
@@ -228,12 +229,164 @@ func FuzzDecodeColumns(f *testing.F) {
 			t.Fatalf("re-encode differs\n got %x\nwant %x", got, blob)
 		}
 		els, groups := ElementsFromColumns(cb)
-		again := ColumnizeElements(els)
+		again := ColumnizeElements(els, nil)
 		if cb.Groups != nil {
-			again = ColumnizeGroups(groups)
+			again = ColumnizeGroups(groups, nil)
 		}
 		if got := graphenc.AppendColumns(nil, again); !bytes.Equal(got, blob) {
 			t.Fatalf("element round trip differs\n got %x\nwant %x", got, blob)
+		}
+	})
+}
+
+// fuzzBytes hands out fuzz input bytes, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// FuzzProjectedColumns: a random element batch, ungrouped or grouped, with
+// nil slots and nil groups, columnized under a random projection (nil,
+// empty, a subset, or keys no element has) and sent through
+// AppendColumns/DecodeColumns/ElementsFromColumns, comes back as the input
+// with each element's properties filtered to the projection, slots and
+// groups aligned.
+func FuzzProjectedColumns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 7, 1, 2, 9, 0, 3, 4})
+	f.Add([]byte{1, 5, 2, 0xff, 3, 0x40, 4, 9, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 0x0b, 6, 0, 0x17, 2, 5, 11, 1, 0, 4, 3, 2, 1})
+	f.Add([]byte{5, 0x09, 4, 10, 0x0f, 2, 1, 3, 0, 0, 5, 7})
+	f.Add([]byte{7, 0x88, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		mode := in.next()
+		grouped := mode&1 == 1
+		var proj []string
+		switch mode >> 1 % 4 {
+		case 1:
+			proj = []string{}
+		case 2:
+			proj = []string{}
+			for i, k := range []string{"a", "b", "c", "x"} {
+				if mode>>(3+i)&1 == 1 {
+					proj = append(proj, k)
+				}
+			}
+		case 3:
+			proj = []string{"x", "y"}
+		}
+		value := func() types.Value {
+			switch c := in.next(); c % 5 {
+			case 0:
+				return types.NewInt(int64(int8(c)))
+			case 1:
+				return types.NewString(string(rune('a' + c%26)))
+			case 2:
+				return types.NewFloat(math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(c)))
+			case 3:
+				return types.NewBool(c&8 == 0)
+			default:
+				return types.Null
+			}
+		}
+		els := make([]*Element, in.next()%9)
+		for i := range els {
+			c := in.next()
+			if c%5 == 0 {
+				continue // nil slot
+			}
+			el := &Element{ID: fmt.Sprint("v", i), Label: "l" + fmt.Sprint(c%3)}
+			if c&8 != 0 {
+				el.IsEdge, el.OutV, el.InV, el.ID = true, "o", "i", fmt.Sprint("e", i)
+			}
+			if c&16 != 0 {
+				el.Table = "T"
+			}
+			if bits := in.next(); bits&7 != 0 || bits&8 != 0 {
+				el.Props = map[string]types.Value{}
+				for j, k := range []string{"a", "b", "c"} {
+					if bits>>j&1 == 1 {
+						el.Props[k] = value()
+					}
+				}
+			}
+			els[i] = el
+		}
+		var groups [][]*Element
+		for rest := els; grouped; {
+			c := in.next()
+			if c%4 == 0 && c != 0 {
+				groups = append(groups, nil)
+				continue
+			}
+			n := int(c % 4)
+			if c == 0 || n > len(rest) {
+				n = len(rest) // an exhausted input ends the groups
+			}
+			groups = append(groups, rest[:n:n])
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+
+		// want is els with each element's properties filtered to proj.
+		filter := func(el *Element) *Element {
+			if el == nil {
+				return nil
+			}
+			cp := *el
+			cp.Props = nil
+			for k, v := range el.Props {
+				if proj == nil || slices.Contains(proj, k) {
+					if cp.Props == nil {
+						cp.Props = map[string]types.Value{}
+					}
+					cp.Props[k] = v
+				}
+			}
+			return &cp
+		}
+		cb := ColumnizeElements(els, proj)
+		if grouped {
+			cb = ColumnizeGroups(groups, proj)
+		}
+		dec, err := graphenc.DecodeColumns(graphenc.AppendColumns(nil, cb))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		gotEls, gotGroups := ElementsFromColumns(dec)
+		want := make([]*Element, len(els))
+		for i, el := range els {
+			want[i] = filter(el)
+		}
+		if renderBits(gotEls) != renderBits(want) {
+			t.Fatalf("projection %#v\n got %s\nwant %s", proj, renderBits(gotEls), renderBits(want))
+		}
+		if !grouped {
+			if gotGroups != nil {
+				t.Fatalf("ungrouped batch decoded %d groups", len(gotGroups))
+			}
+			return
+		}
+		if len(gotGroups) != len(groups) {
+			t.Fatalf("%d groups decoded, want %d", len(gotGroups), len(groups))
+		}
+		off := 0
+		for g, grp := range groups {
+			if (gotGroups[g] == nil) != (grp == nil) {
+				t.Fatalf("group %d: nil-ness %v, want %v", g, gotGroups[g] == nil, grp == nil)
+			}
+			if renderBits(gotGroups[g]) != renderBits(want[off:off+len(grp)]) {
+				t.Fatalf("group %d diverged\n got %s\nwant %s", g, renderBits(gotGroups[g]), renderBits(want[off:off+len(grp)]))
+			}
+			off += len(grp)
 		}
 	})
 }

@@ -14,6 +14,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"db2graph/internal/sql/types"
@@ -243,7 +244,11 @@ type Query struct {
 	// Preds are property predicates all results must satisfy.
 	Preds []Pred
 	// Projection lists the property keys the caller needs; nil means all
-	// properties, empty non-nil means none.
+	// properties, empty non-nil means none. It narrows which properties
+	// come back, never which elements match. A backend may return more
+	// properties than it names (a cache of full elements answers any
+	// projection, and a predicate's key may ride along); the gserver reply
+	// carries exactly the projected keys.
 	Projection []string
 }
 
@@ -256,9 +261,9 @@ func (q *Query) Clone() *Query {
 	out.IDs = append([]string(nil), q.IDs...)
 	out.Labels = append([]string(nil), q.Labels...)
 	out.Preds = append([]Pred(nil), q.Preds...)
-	if q.Projection != nil {
-		out.Projection = append([]string(nil), q.Projection...)
-	}
+	// slices.Clone keeps nil nil and empty empty: the two mean "all" and
+	// "none".
+	out.Projection = slices.Clone(q.Projection)
 	return &out
 }
 

@@ -103,6 +103,18 @@ func TestQueryClone(t *testing.T) {
 	if (*Query)(nil).Clone() == nil {
 		t.Fatal("nil Clone should allocate")
 	}
+	// Projection: nil means all properties and empty means none, so each
+	// form must survive Clone, and a non-empty one must be a copy.
+	if c := (&Query{}).Clone(); c.Projection != nil {
+		t.Fatalf("nil projection cloned to %#v", c.Projection)
+	}
+	if c := (&Query{Projection: []string{}}).Clone(); c.Projection == nil || len(c.Projection) != 0 {
+		t.Fatalf("empty projection cloned to %#v", c.Projection)
+	}
+	c.Projection[0] = "q"
+	if q.Projection[0] != "p" {
+		t.Fatal("Clone aliased the projection")
+	}
 }
 
 func TestMemVerticesAndEdges(t *testing.T) {

@@ -40,3 +40,7 @@ func TestMemCacheInvalidation(t *testing.T) {
 func TestMemDupFrontierCounts(t *testing.T) {
 	graphtest.RunDupFrontierCounts(t, buildMem)
 }
+
+func TestMemLivenessDifferential(t *testing.T) {
+	graphtest.RunLivenessDifferential(t, buildMem)
+}

@@ -8,7 +8,11 @@
 //     is pure deployment topology; any observable difference is a bug.
 //     Pushed counts, which the coordinator answers with per-owner shard
 //     counts, are also checked against the raw backend's unoptimized plan
-//     (graphtest.CheckDupFrontierCounts) and its own AggVertexEdges.
+//     (graphtest.CheckDupFrontierCounts), its own AggVertexEdges and a
+//     plain count over the dataset (graphtest.CheckAggCounts). Scripts
+//     that read properties after hops, whose replies carry only the
+//     projected properties, are checked against the unoptimized plan
+//     (graphtest.CheckLiveness).
 //  2. Fault semantics: under injected network faults (delays, drops,
 //     resets, partitions, via the chaos listener wrapper) every query
 //     either returns the golden answer or a typed error
@@ -239,6 +243,11 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 	h1 := startCluster(t, build, 1, calm(), telemetry.NewRegistry())
 	golden := h1.runBattery(t)
 	graphtest.CheckBothV(t, h1.src)
+	// Property liveness: the optimized plans, whose replies carry only the
+	// projected properties, against the unoptimized plan's full elements.
+	liveGolden := graphtest.LivenessAnswers(t, h1.src.WithoutStrategies())
+	graphtest.CheckLiveness(t, liveGolden, h1.src)
+	graphtest.CheckAggCounts(t, h1.coord)
 	h1.close()
 
 	// Raw-backend content parity: the canonical merge may reorder scans
@@ -274,6 +283,8 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 				}
 			}
 			graphtest.CheckBothV(t, h.src)
+			graphtest.CheckLiveness(t, liveGolden, h.src)
+			graphtest.CheckAggCounts(t, h.coord)
 			cv, err := h.coord.V(ctx, &graph.Query{})
 			if err != nil {
 				t.Fatalf("coordinator V: %v", err)

@@ -1,6 +1,8 @@
 package graphtest
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"db2graph/internal/graph"
@@ -52,7 +54,8 @@ func PushedCountScripts() []string {
 
 // RunDupFrontierCounts checks the pushed counts (over duplicated frontiers
 // and over unique ones) on a backend built by build against the same backend's unoptimized plan,
-// which materializes the last hop and counts traversers.
+// which materializes the last hop and counts traversers, and the backend's
+// own AggVertexEdges counts (CheckAggCounts).
 func RunDupFrontierCounts(t *testing.T, build func(vertices, edges []*graph.Element) (graph.Backend, error)) {
 	t.Helper()
 	vs, es := Dataset()
@@ -61,6 +64,60 @@ func RunDupFrontierCounts(t *testing.T, build func(vertices, edges []*graph.Elem
 		t.Fatalf("build backend: %v", err)
 	}
 	CheckDupFrontierCounts(t, gremlin.NewSource(b).WithoutStrategies(), gremlin.NewSource(b))
+	CheckAggCounts(t, b)
+}
+
+// CheckAggCounts calls b.AggVertexEdges directly with vertex id lists that
+// repeat ids and name unknown ones, out() and in(), with and without a
+// label filter, and compares each count with a plain count over Dataset().
+// AggVertexEdges counts over the set of the ids: a repeated id counts its
+// edges once. The engine only ever sends distinct ids (pushVertexAgg), so
+// the traversal-level checks above cannot see a backend that counts a
+// repeat twice.
+func CheckAggCounts(t *testing.T, b graph.Backend) {
+	t.Helper()
+	vs, es := Dataset()
+	all := make([]string, 0, 2*len(vs)+2)
+	for _, v := range vs {
+		all = append(all, v.ID)
+	}
+	all = append(all, "nope")
+	all = append(all, all...)
+	idSets := [][]string{
+		{"p1", "p1"},
+		{"d11", "nope", "d11", "d10", "d11"},
+		{"d10", "d13", "d10", "d9"},
+		{"nope", "nope"},
+		all,
+	}
+	count := graph.Agg{Kind: graph.AggCount}
+	for _, ids := range idSets {
+		for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
+			for _, label := range []string{"", "isa"} {
+				var q *graph.Query
+				if label != "" {
+					q = &graph.Query{Labels: []string{label}}
+				}
+				want := 0
+				for _, e := range es {
+					end := e.OutV
+					if dir == graph.DirIn {
+						end = e.InV
+					}
+					if slices.Contains(ids, end) && (label == "" || e.Label == label) {
+						want++
+					}
+				}
+				got, err := b.AggVertexEdges(context.Background(), ids, dir, q, count)
+				if err != nil {
+					t.Fatalf("AggVertexEdges(%v, %s, %q): %v", ids, dir, label, err)
+				}
+				if n, ok := got.Int(); !ok || n != int64(want) {
+					t.Fatalf("AggVertexEdges(%v, %s, %q) = %v, want %d", ids, dir, label, got, want)
+				}
+			}
+		}
+	}
 }
 
 // CheckDupFrontierCounts runs the pushed-count scripts on src,

@@ -301,7 +301,11 @@ func runStep(ctx *execCtx, s Step, in []*Traverser, isFirst bool) ([]*Traverser,
 			if !ok {
 				return nil, fmt.Errorf("gremlin: values() requires elements")
 			}
-			for _, k := range x.Keys {
+			keys := x.Keys
+			if len(keys) == 0 { // bare values(): every property, by key
+				keys = sortedKeys(el.Props)
+			}
+			for _, k := range keys {
 				if v, ok := el.Props[k]; ok {
 					out = append(out, ctx.derive(tr, v))
 				}
@@ -1086,6 +1090,16 @@ func runAggregateStep(x *AggregateStep, in []*Traverser) ([]*Traverser, error) {
 		return nil, err
 	}
 	return []*Traverser{{Obj: v}}, nil
+}
+
+// sortedKeys returns a property map's keys in order.
+func sortedKeys(props map[string]types.Value) []string {
+	keys := make([]string, 0, len(props))
+	for k := range props {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // objKey builds a dedup key for a traverser object.

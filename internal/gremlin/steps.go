@@ -124,7 +124,7 @@ type HasStep struct {
 func (s *HasStep) Name() string { return "has" }
 
 // ValuesStep emits the values of the named properties, one traverser per
-// present property.
+// present property. With no keys it emits every property, in key order.
 type ValuesStep struct {
 	Keys []string
 }
@@ -350,7 +350,13 @@ func describeStep(s Step) string {
 		if x.Query != nil && len(x.Query.Preds) > 0 {
 			extra += fmt.Sprintf("+preds:%d", len(x.Query.Preds))
 		}
-		if x.Query != nil && x.Query.Projection != nil {
+		// +proj marks a narrowed fetch of the elements the step emits: the
+		// edges of outE(), the vertices of out().
+		emitted := x.Query
+		if !x.ReturnEdges {
+			emitted = x.VQuery
+		}
+		if emitted != nil && emitted.Projection != nil {
 			extra += "+proj"
 		}
 		lbl := ""

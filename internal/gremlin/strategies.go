@@ -153,34 +153,76 @@ func (PredicatePushdownStrategy) Apply(steps []Step) []Step {
 	return out
 }
 
-// ProjectionPushdownStrategy narrows the properties a GSA step fetches when
-// it is immediately followed by values()/valueMap() (for the Db2 Graph
-// provider: a narrower SELECT list).
+// ProjectionPushdownStrategy is the paper's projection pushdown applied to
+// the whole plan as one backward liveness pass: walking from the last step
+// to the first, it tracks which properties of the stream's elements a later
+// step can observe, and narrows each GSA step's fetch to them (for the Db2
+// Graph provider: a narrower SELECT list; on the cluster wire: fewer
+// columns).
+//   - out()/in()/both() never emit their edges, so their edge query
+//     fetches no properties, and a hop reads only its input's ids.
+//   - count(), id(), label(), dedup(), limit(), constant() and is()
+//     observe ids and labels only.
+//   - values(k) and valueMap(k) observe the keys they name.
+//   - Every other step observes all properties, as does the traversal's
+//     result; so do as() (a select() may emit the element), store(),
+//     sub-traversal steps, bare values()/valueMap(), and every step
+//     before a path().
 type ProjectionPushdownStrategy struct{}
 
 // Name implements Strategy.
 func (ProjectionPushdownStrategy) Name() string { return "ProjectionPushdown" }
 
-// Apply implements Strategy.
+// Apply implements Strategy. A need is a Query.Projection: nil reads every
+// property, empty none.
 func (ProjectionPushdownStrategy) Apply(steps []Step) []Step {
-	for i := 1; i < len(steps); i++ {
-		var keys []string
+	var need []string // what later steps read of step i's output
+	for i := len(steps) - 1; i >= 0; i-- {
+		var in []string // what step i and later steps read of its input
 		switch x := steps[i].(type) {
-		case *ValuesStep:
-			keys = x.Keys
-		case *ValueMapStep:
-			if len(x.Keys) == 0 {
-				continue // all properties needed
+		case *GraphStep, *EdgeVertexStep:
+			q, _ := gsaQuery(x)
+			narrow(q, need)
+			in = noProps
+		case *VertexStep:
+			if q, _ := gsaQuery(x); !x.ReturnEdges {
+				narrow(q, noProps) // out()/in()/both() never emit the edges
 			}
-			keys = x.Keys
-		default:
-			continue
+			q, _ := elementQuery(x)
+			narrow(q, need)
+			in = noProps
+		case *ValuesStep:
+			if len(x.Keys) > 0 {
+				in = x.Keys
+			}
+		case *ValueMapStep:
+			if len(x.Keys) > 0 {
+				in = x.Keys
+			}
+		case *AggregateStep:
+			if x.Kind == graph.AggCount {
+				in = noProps
+			}
+		case *IDStep, *LabelStep, *ConstantStep, *IsStep:
+			in = noProps
+		case *DedupStep, *LimitStep, *ProfileStep, *ExplainStep:
+			in = need
 		}
-		if q, ok := elementQuery(steps[i-1]); ok && q.Projection == nil {
-			q.Projection = append([]string{}, keys...)
+		if plansPaths(steps[i:]) {
+			in = nil // a path holds every object before its step
 		}
+		need = in
 	}
 	return steps
+}
+
+var noProps = []string{}
+
+// narrow sets q's projection to need unless q already has one.
+func narrow(q *graph.Query, need []string) {
+	if q.Projection == nil && need != nil {
+		q.Projection = append([]string{}, need...)
+	}
 }
 
 // AggregatePushdownStrategy folds terminal aggregations into the preceding

@@ -360,7 +360,7 @@ func FuzzGraphOpReply(f *testing.F) {
 	f.Add(frame(Response{reply: &elementReply{els: []*graph.Element{v, nil, e}}}))
 	f.Add(frame(Response{reply: &elementReply{groups: [][]*graph.Element{{e}, nil, {}}, grouped: true}}))
 	f.Add(frame(Response{Code: CodeTimeout, Error: "late"}))
-	cols := graphenc.AppendColumns(nil, graph.ColumnizeElements([]*graph.Element{v}))
+	cols := graphenc.AppendColumns(nil, graph.ColumnizeElements([]*graph.Element{v}, nil))
 	f.Add(frameBytes(append([]byte{0, 0, replyCount, 6}, cols...))) // count then trailing batch
 	f.Add(frameBytes([]byte{0, 0, 9}))
 	f.Add(frameBytes(nil))

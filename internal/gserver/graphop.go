@@ -8,7 +8,8 @@
 // elements in one shape: a binary graphenc.ColumnBatch in Response.Columns
 // that round-trips graph.Element bit-exactly (NaN and signed-zero floats
 // included), minus the provider-opaque Ref field, which is an optimization
-// hint, not data. A CountVertexEdges reply carries one integer in
+// hint, not data, and minus every property the request's Query.Projection
+// does not name. A CountVertexEdges reply carries one integer in
 // Response.Count instead. Mutations stay JSON lines; WireElement is the
 // JSON element shape of mutation and replication payloads only.
 package gserver
@@ -121,31 +122,35 @@ func (w *WireElement) FromWire() *graph.Element {
 // the same recover as Gremlin execution and ctx carries the request
 // deadline.
 func (s *Server) graphOpResponse(ctx context.Context, op *GraphOp) Response {
+	var proj []string // the reply's properties: nil ships every one
+	if op.Query != nil {
+		proj = op.Query.Projection
+	}
 	switch op.Method {
 	case OpV:
 		els, err := s.batch.V(ctx, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{reply: &elementReply{els: els}}
+		return Response{reply: &elementReply{els: els, proj: proj}}
 	case OpE:
 		els, err := s.batch.E(ctx, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{reply: &elementReply{els: els}}
+		return Response{reply: &elementReply{els: els, proj: proj}}
 	case OpVerticesByIDs:
 		els, err := s.batch.VerticesByIDs(ctx, op.IDs, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{reply: &elementReply{els: els}}
+		return Response{reply: &elementReply{els: els, proj: proj}}
 	case OpEdgesForVertices:
 		groups, err := s.batch.EdgesForVertices(ctx, op.IDs, op.Dir, op.Query)
 		if err != nil {
 			return errorResponse(err)
 		}
-		return Response{reply: &elementReply{groups: groups, grouped: true}}
+		return Response{reply: &elementReply{groups: groups, grouped: true, proj: proj}}
 	case OpCountVertexEdges:
 		return s.countResponse(ctx, op)
 	case OpAddVertex, OpAddEdge:
@@ -175,20 +180,23 @@ func (s *Server) countResponse(ctx context.Context, op *GraphOp) Response {
 
 // elementReply is a read op's result awaiting serialization into the
 // reply frame. grouped marks an EdgesForVertices result, whose groups
-// may legitimately be nil.
+// may legitimately be nil. proj is the request's projection: a backend
+// may return more properties than it names, and the reply carries
+// exactly the named ones.
 type elementReply struct {
 	els     []*graph.Element
 	groups  [][]*graph.Element
 	grouped bool
+	proj    []string
 }
 
 // appendTo columnizes the result and appends it to buf as one element
 // batch.
 func (r *elementReply) appendTo(buf []byte) []byte {
 	if r.grouped {
-		return graphenc.AppendColumns(buf, graph.ColumnizeGroups(r.groups))
+		return graphenc.AppendColumns(buf, graph.ColumnizeGroups(r.groups, r.proj))
 	}
-	return graphenc.AppendColumns(buf, graph.ColumnizeElements(r.els))
+	return graphenc.AppendColumns(buf, graph.ColumnizeElements(r.els, r.proj))
 }
 
 // ElementBatch decodes the Columns payload of a GraphOp read reply. els is

@@ -49,6 +49,12 @@ func TestDupFrontierCounts(t *testing.T) {
 	})
 }
 
+func TestLivenessDifferential(t *testing.T) {
+	graphtest.RunLivenessDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
+		return loadIncremental(vs, es)
+	})
+}
+
 func TestPlannerDifferential(t *testing.T) {
 	graphtest.RunPlannerDifferential(t, func(vs, es []*graph.Element) (graph.Backend, error) {
 		return loadIncremental(vs, es)
