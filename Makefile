@@ -56,8 +56,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # bench-alloc is the allocation-regression gate (DESIGN.md §15): it measures
-# allocs/op of the hot batched-expansion path and fails if it regresses more
-# than 10% over the committed baseline in
-# internal/gremlin/testdata/alloc_baseline.json.
+# allocs/op and bytes/op of the batched-expansion path (native backend, no
+# SQL) and of the four LinkBench reads through the script path on the
+# SQL-backed overlay, and fails any that regresses more than 10% over the
+# committed baseline in internal/gremlin/testdata/alloc_baseline.json.
 bench-alloc:
-	BENCH_ALLOC_GATE=1 $(GO) test -count=1 -run TestBatchedExpandAllocBaseline -v ./internal/gremlin/
+	BENCH_ALLOC_GATE=1 $(GO) test -count=1 -run TestAllocBaseline -v ./internal/gremlin/

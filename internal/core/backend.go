@@ -141,11 +141,7 @@ func (g *Graph) planVertexFetch(vm *overlay.VertexMapping, q *graph.Query, ids *
 				b.fullyPushed = false // rows fetched then dropped by Matches
 			}
 		} else {
-			vals := make([]types.Value, len(q.Labels))
-			for i, l := range q.Labels {
-				vals[i] = types.NewString(l)
-			}
-			b.inList(vm.Label.Column, vals)
+			b.inList(vm.Label.Column, labelList(q.Labels))
 		}
 	}
 	// Predicates.
@@ -241,9 +237,9 @@ func neededProps(all []string, q *graph.Query) []string {
 	return out
 }
 
-// runVertexPlan executes a plan and builds elements.
-func (g *Graph) runVertexPlan(ctx context.Context, p *vertexPlan, q *graph.Query) ([]*graph.Element, error) {
-	rows, err := g.dialect.Query(ctx, p.b.SQL(selectList(p.cols)), p.vm.Table, p.b.eqCols, p.b.params...)
+// runVertexPlan executes a planned fetch (vertexFetch) and builds elements.
+func (g *Graph) runVertexPlan(ctx context.Context, p *vertexPlan, sql string, params []any, q *graph.Query) ([]*graph.Element, error) {
+	rows, err := g.dialect.Query(ctx, sql, p.vm.Table, p.b.eqCols, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -267,16 +263,6 @@ func selectList(cols []string) string {
 
 func (g *Graph) vertexFromRow(p *vertexPlan, row []types.Value) *graph.Element {
 	vm := p.vm
-	idParts := make([]string, 0, len(vm.ID.Terms))
-	pos := 0
-	for _, t := range vm.ID.Terms {
-		if t.IsConst {
-			idParts = append(idParts, t.Const)
-		} else {
-			idParts = append(idParts, row[p.idPos[pos]].Text())
-			pos++
-		}
-	}
 	label := vm.Label.Const
 	if p.labelPos >= 0 {
 		label = row[p.labelPos].Text()
@@ -289,7 +275,7 @@ func (g *Graph) vertexFromRow(p *vertexPlan, row []types.Value) *graph.Element {
 		}
 	}
 	return &graph.Element{
-		ID:    overlay.ComposeID(idParts),
+		ID:    composeExpr(vm.ID, row, p.idPos),
 		Label: label,
 		Props: props,
 		Table: vm.Table,
@@ -297,9 +283,11 @@ func (g *Graph) vertexFromRow(p *vertexPlan, row []types.Value) *graph.Element {
 	}
 }
 
-// V implements graph.Backend. SQL returns a row once however often q.IDs
-// repeats its id, so V copies such a vertex once per occurrence, next to
-// the first copy.
+// V implements graph.Backend. Vertices of an id list come in the order of
+// their ids' first appearance in q.IDs, as every other backend and the
+// fused V(ids).out() walk them, not in table order. SQL returns a row once
+// however often q.IDs repeats its id, so V copies such a vertex once per
+// occurrence, next to the first copy.
 func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return nil, err
@@ -311,17 +299,33 @@ func (g *Graph) V(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 	ids := &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, vm := range g.eligibleVertexMappings(q) {
-		p := g.planVertexFetch(vm, q, ids)
-		if !p.possible {
+		p, sql, params := g.vertexFetch(vm, q, ids, "")
+		if p == nil {
 			continue
 		}
-		els, err := g.runVertexPlan(ctx, p, q)
+		els, err := g.runVertexPlan(ctx, p, sql, params, q)
 		if err != nil {
 			return nil, err
 		}
 		out = appendRepeated(out, els, mult)
 	}
-	return out, nil
+	return inIDOrder(out, q.IDs), nil
+}
+
+// inIDOrder stably sorts els, elements of the ids in ids, into the order of
+// their ids' first appearance there.
+func inIDOrder(els []*graph.Element, ids []string) []*graph.Element {
+	if len(ids) < 2 || len(els) < 2 {
+		return els
+	}
+	rank := make(map[string]int, len(ids))
+	for i, id := range ids {
+		if _, ok := rank[id]; !ok {
+			rank[id] = i
+		}
+	}
+	slices.SortStableFunc(els, func(a, b *graph.Element) int { return rank[a.ID] - rank[b.ID] })
+	return els
 }
 
 // appendRepeated appends els to out, each element once per occurrence of
@@ -356,11 +360,11 @@ func repeatedIDs(ids []string) map[string]int {
 
 // fetchVerticesFromTable fetches vertices by id from one pinned table.
 func (g *Graph) fetchVerticesFromTable(ctx context.Context, vm *overlay.VertexMapping, q *graph.Query) ([]*graph.Element, error) {
-	p := g.planVertexFetch(vm, q, &idMemo{ids: q.IDs})
-	if !p.possible {
+	p, sql, params := g.vertexFetch(vm, q, &idMemo{ids: q.IDs}, "")
+	if p == nil {
 		return nil, nil
 	}
-	return g.runVertexPlan(ctx, p, q)
+	return g.runVertexPlan(ctx, p, sql, params, q)
 }
 
 // --- Edge access ---
@@ -410,11 +414,7 @@ func (g *Graph) planEdgeFetch(em *overlay.EdgeMapping, q *graph.Query) *edgePlan
 				b.fullyPushed = false
 			}
 		} else {
-			vals := make([]types.Value, len(q.Labels))
-			for i, l := range q.Labels {
-				vals[i] = types.NewString(l)
-			}
-			b.inList(em.Label.Column, vals)
+			b.inList(em.Label.Column, labelList(q.Labels))
 		}
 	}
 	for _, pred := range q.Preds {
@@ -504,19 +504,32 @@ func (g *Graph) planEdgeFetch(em *overlay.EdgeMapping, q *graph.Query) *edgePlan
 	return p
 }
 
-// composeExpr rebuilds an id string from a row given the expression.
+// composeExpr rebuilds an id string from a row given the expression: the
+// escaped parts joined by "::", as overlay.ComposeID would.
 func composeExpr(expr overlay.IDExpr, row []types.Value, positions []int) string {
-	parts := make([]string, 0, len(expr.Terms))
+	if len(expr.Terms) == 1 && !expr.Terms[0].IsConst {
+		return overlay.EscapePart(row[positions[0]].Text())
+	}
+	var b strings.Builder
 	pos := 0
-	for _, t := range expr.Terms {
-		if t.IsConst {
-			parts = append(parts, t.Const)
-		} else {
-			parts = append(parts, row[positions[pos]].Text())
+	for i, t := range expr.Terms {
+		if i > 0 {
+			b.WriteString("::")
+		}
+		part := t.Const
+		if !t.IsConst {
+			part = row[positions[pos]].Text()
 			pos++
 		}
+		b.WriteString(overlay.EscapePart(part))
 	}
-	return overlay.ComposeID(parts)
+	return b.String()
+}
+
+// implicitEdgeID composes an implicit edge id (Section 6.3) from its
+// endpoint ids, which are already composed and so escaped, and its label.
+func implicitEdgeID(srcID, label, dstID string) string {
+	return srcID + "::" + overlay.EscapePart(label) + "::" + dstID
 }
 
 func (g *Graph) edgeFromRow(p *edgePlan, row []types.Value) *graph.Element {
@@ -529,10 +542,7 @@ func (g *Graph) edgeFromRow(p *edgePlan, row []types.Value) *graph.Element {
 	dstID := composeExpr(em.DstV, row, p.dstPos)
 	var id string
 	if em.ImplicitID {
-		parts := append([]string{}, overlay.DecomposeID(srcID)...)
-		parts = append(parts, label)
-		parts = append(parts, overlay.DecomposeID(dstID)...)
-		id = overlay.ComposeID(parts)
+		id = implicitEdgeID(srcID, label, dstID)
 	} else {
 		id = composeExpr(em.ID, row, p.idPos)
 	}
@@ -555,8 +565,10 @@ func (g *Graph) edgeFromRow(p *edgePlan, row []types.Value) *graph.Element {
 	}
 }
 
-func (g *Graph) runEdgePlan(ctx context.Context, p *edgePlan, q *graph.Query) ([]*graph.Element, error) {
-	rows, err := g.dialect.Query(ctx, p.b.SQL(selectList(p.cols)), p.em.Table, p.b.eqCols, p.b.params...)
+// runEdgePlan executes a planned fetch (edgeFetch, or E's plan) and builds
+// elements.
+func (g *Graph) runEdgePlan(ctx context.Context, p *edgePlan, sql string, params []any, q *graph.Query) ([]*graph.Element, error) {
+	rows, err := g.dialect.Query(ctx, sql, p.em.Table, p.b.eqCols, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -651,7 +663,7 @@ func (g *Graph) E(ctx context.Context, q *graph.Query) ([]*graph.Element, error)
 		if !p.possible {
 			continue
 		}
-		els, err := g.runEdgePlan(ctx, p, q)
+		els, err := g.runEdgePlan(ctx, p, p.b.SQL(selectList(p.cols)), p.b.params, q)
 		if err != nil {
 			return nil, err
 		}
@@ -705,19 +717,11 @@ func (g *Graph) VertexEdges(ctx context.Context, vids []string, dir graph.Direct
 	ends, ids := &idMemo{ids: vids}, &idMemo{ids: q.IDs}
 	var out []*graph.Element
 	for _, em := range g.eligibleEdgeMappings(q) {
-		p := g.planEdgeFetch(em, q)
-		if !p.possible {
+		p, sql, params := g.edgeFetch(em, q, ends, ids, dir, "")
+		if p == nil {
 			continue
 		}
-		g.addEndpointRestriction(p, ends, dir)
-		if !p.possible {
-			continue
-		}
-		g.addEdgeIDRestriction(p, ids)
-		if !p.possible {
-			continue
-		}
-		els, err := g.runEdgePlan(ctx, p, q)
+		els, err := g.runEdgePlan(ctx, p, sql, params, q)
 		if err != nil {
 			return nil, err
 		}
@@ -1070,8 +1074,8 @@ func (c *aggCombiner) result() types.Value {
 }
 
 // runAggSQL executes one aggregated statement and feeds the combiner.
-func (g *Graph) runAggSQL(ctx context.Context, b *sqlBuilder, table, sel string, comb *aggCombiner) error {
-	rows, err := g.dialect.Query(ctx, b.SQL(sel), table, b.eqCols, b.params...)
+func (g *Graph) runAggSQL(ctx context.Context, sql, table string, eqCols []string, params []any, comb *aggCombiner) error {
+	rows, err := g.dialect.Query(ctx, sql, table, eqCols, params...)
 	if err != nil {
 		return err
 	}
@@ -1104,14 +1108,14 @@ func (g *Graph) AggV(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 		if agg.Key != "" && !vm.HasProperty(agg.Key) {
 			continue // no contribution from a table lacking the property
 		}
-		p := g.planVertexFetch(vm, q, ids)
-		if !p.possible {
+		p, sql, params := g.vertexFetch(vm, q, ids, sel)
+		if p == nil {
 			continue
 		}
 		if !p.b.fullyPushed {
 			return g.aggVFallback(ctx, q, agg)
 		}
-		if err := g.runAggSQL(ctx, p.b, vm.Table, sel, comb); err != nil {
+		if err := g.runAggSQL(ctx, sql, vm.Table, p.b.eqCols, params, comb); err != nil {
 			return types.Null, err
 		}
 	}
@@ -1167,7 +1171,7 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 		if !p.b.fullyPushed {
 			return g.aggEFallback(ctx, q, agg)
 		}
-		if err := g.runAggSQL(ctx, p.b, em.Table, sel, comb); err != nil {
+		if err := g.runAggSQL(ctx, p.b.SQL(sel), em.Table, p.b.eqCols, p.b.params, comb); err != nil {
 			return types.Null, err
 		}
 	}
@@ -1203,16 +1207,8 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 		if agg.Key != "" && !em.HasProperty(agg.Key) {
 			continue
 		}
-		p := g.planEdgeFetch(em, q)
-		if !p.possible {
-			continue
-		}
-		g.addEndpointRestriction(p, ends, dir)
-		if !p.possible {
-			continue
-		}
-		g.addEdgeIDRestriction(p, ids)
-		if !p.possible {
+		p, sql, params := g.edgeFetch(em, q, ends, ids, dir, sel)
+		if p == nil {
 			continue
 		}
 		if !p.b.fullyPushed || dir == graph.DirBoth {
@@ -1224,7 +1220,7 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 			}
 			return graph.AggregateElements(els, agg)
 		}
-		if err := g.runAggSQL(ctx, p.b, em.Table, sel, comb); err != nil {
+		if err := g.runAggSQL(ctx, sql, em.Table, p.b.eqCols, params, comb); err != nil {
 			return types.Null, err
 		}
 	}

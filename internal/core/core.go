@@ -66,11 +66,12 @@ func DefaultOptions() Options {
 //
 // Safe for concurrent use: the overlay topology, column-type, compiled-id
 // and edge-meta caches are built in Open and read-only afterwards (the
-// compiled ids' fragments are rendered there too); the SQL engine admits
-// concurrent readers (engine.Database takes no lock on reads), and the
-// statement cache behind Dialect is RWMutex-guarded. Scan order follows the
-// backing tables, so results are deterministic and per-vertex adjacency
-// order does not depend on the rest of the batch.
+// compiled ids' fragments are rendered there too); each fetch template
+// compiles once, under its sync.Once; the SQL engine admits concurrent
+// readers (engine.Database takes no lock on reads), and the statement cache
+// behind Dialect is RWMutex-guarded. Scan order follows the backing tables,
+// so results are deterministic and per-vertex adjacency order does not
+// depend on the rest of the batch.
 type Graph struct {
 	db      *engine.Database
 	topo    *overlay.Topology
@@ -83,6 +84,10 @@ type Graph struct {
 	// (idcodec.go) and, for edges, the precomputed optimization facts.
 	vertexIDs map[*overlay.VertexMapping]*idAccess
 	edgeMeta  map[*overlay.EdgeMapping]*edgeMeta
+	// vertexTmpl and edgeTmpl hold each mapping's fetch templates
+	// (fetchplan.go), compiled on first use.
+	vertexTmpl map[*overlay.VertexMapping]*vertexTemplates
+	edgeTmpl   map[*overlay.EdgeMapping]*edgeTemplates
 
 	// vtxCache and adjCache are version-tagged hot-path caches (resolved
 	// vertices by id; per-(vertex,direction) adjacency groups), keyed to the
@@ -113,15 +118,17 @@ func Open(db *engine.Database, cfg *overlay.Config, opts Options) (*Graph, error
 		return nil, err
 	}
 	g := &Graph{
-		db:        db,
-		topo:      topo,
-		dialect:   NewDialect(db, opts.StatementCache),
-		opts:      opts,
-		colTypes:  make(map[string]map[string]types.Kind),
-		vertexIDs: make(map[*overlay.VertexMapping]*idAccess),
-		edgeMeta:  make(map[*overlay.EdgeMapping]*edgeMeta),
-		vtxCache:  graph.NewVersionedCache[*graph.Element](0),
-		adjCache:  graph.NewVersionedCache[[]*graph.Element](0),
+		db:         db,
+		topo:       topo,
+		dialect:    NewDialect(db, opts.StatementCache),
+		opts:       opts,
+		colTypes:   make(map[string]map[string]types.Kind),
+		vertexIDs:  make(map[*overlay.VertexMapping]*idAccess),
+		edgeMeta:   make(map[*overlay.EdgeMapping]*edgeMeta),
+		vertexTmpl: make(map[*overlay.VertexMapping]*vertexTemplates),
+		edgeTmpl:   make(map[*overlay.EdgeMapping]*edgeTemplates),
+		vtxCache:   graph.NewVersionedCache[*graph.Element](0),
+		adjCache:   graph.NewVersionedCache[[]*graph.Element](0),
 	}
 	cacheTypes := func(rel string) error {
 		key := strings.ToLower(rel)
@@ -155,6 +162,12 @@ func Open(db *engine.Database, cfg *overlay.Config, opts Options) (*Graph, error
 	}
 	for _, em := range topo.Edges {
 		g.edgeMeta[em] = g.buildEdgeMeta(em, ids)
+	}
+	for _, vm := range topo.Vertices {
+		g.vertexTmpl[vm] = new(vertexTemplates)
+	}
+	for _, em := range topo.Edges {
+		g.edgeTmpl[em] = new(edgeTemplates)
 	}
 	return g, nil
 }

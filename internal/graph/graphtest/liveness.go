@@ -43,6 +43,13 @@ var livenessScripts = []string{
 	`g.V().hasLabel('patient').out().groupCount().by('conceptName')`,
 	`g.V().out().limit(2)`,
 	`g.E().inV().values()`,
+	// Id lists across tables, out of table order and with a repeat: V(ids)
+	// answers in first-appearance id order, as the fused V(ids).out()
+	// walks its seed ids.
+	`g.V('d11', 'p1', 'd13')`,
+	`g.V('d11', 'p1', 'd13').out()`,
+	`g.V('d11', 'p1', 'd13').id()`,
+	`g.V('d13', 'p2', 'd13', 'p1').out().id()`,
 }
 
 // renderDeep renders traversal results like renderObjs, except that an

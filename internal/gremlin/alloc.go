@@ -14,7 +14,7 @@ package gremlin
 // of tiny chunks a batched query can spawn don't each pin a large one, and
 // doubles up to travSlabMax.
 const (
-	travSlabMin = 32
+	travSlabMin = 4
 	travSlabMax = 512
 )
 
@@ -32,6 +32,16 @@ type travAlloc struct {
 }
 
 func newTravAlloc() *travAlloc { return &travAlloc{next: travSlabMin} }
+
+// reserve makes room for n more slots, so a step that knows how many
+// traversers it mints takes them from one slab of exactly that size instead
+// of a run of doubling ones. Counts above travSlabMax keep the doubling
+// slabs, so one survivor never pins a huge slab.
+func (a *travAlloc) reserve(n int) {
+	if n <= travSlabMax && cap(a.cur)-len(a.cur) < n {
+		a.cur = make([]Traverser, 0, n)
+	}
+}
 
 // get hands out one zeroed traverser slot.
 func (a *travAlloc) get() *Traverser {

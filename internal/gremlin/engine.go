@@ -160,16 +160,29 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	ctx := &execCtx{
-		goctx:       goctx,
-		backend:     t.Src.Backend,
-		batch:       graph.Batched(t.Src.Backend),
-		batchHist:   t.Src.BatchHist,
-		sideEffects: make(map[string][]any),
-		trackPaths:  plansPaths(steps),
-		limits:      t.Src.Limits.Normalized(),
-		pool:        newWorkerPool(par, t.Src.WorkerGauge),
-		alloc:       newTravAlloc(),
+	// The context, its traverser allocator and its worker pool share one
+	// allocation; a serial query (par 1) leaves the pool nil, and only a
+	// plan with store() or cap() gets a side-effect store.
+	root := &struct {
+		ctx   execCtx
+		alloc travAlloc
+		pool  workerPool
+	}{ctx: execCtx{
+		goctx:      goctx,
+		backend:    t.Src.Backend,
+		batch:      graph.Batched(t.Src.Backend),
+		batchHist:  t.Src.BatchHist,
+		trackPaths: plansPaths(steps),
+		limits:     t.Src.Limits.Normalized(),
+	}, alloc: travAlloc{next: travSlabMin}}
+	ctx := &root.ctx
+	ctx.alloc = &root.alloc
+	if par > 1 {
+		root.pool.n, root.pool.gauge = par, t.Src.WorkerGauge
+		ctx.pool = &root.pool
+	}
+	if plansSideEffects(steps) {
+		ctx.sideEffects = make(map[string][]any)
 	}
 	var start time.Time
 	if wantProfile || wantExplain || span != nil {
@@ -670,6 +683,7 @@ func runGraphStep(ctx *execCtx, x *GraphStep, isFirst bool) ([]*Traverser, error
 		return nil, err
 	}
 	out := make([]*Traverser, 0, len(els))
+	ctx.alloc.reserve(len(els))
 	for _, el := range els {
 		out = append(out, ctx.derive(nil, el))
 	}
@@ -677,22 +691,36 @@ func runGraphStep(ctx *execCtx, x *GraphStep, isFirst bool) ([]*Traverser, error
 }
 
 func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, error) {
-	// Source vertices: either fused seed ids or incoming vertex traversers.
-	// travGroup keeps the dominant one-traverser-per-vertex case slice-free.
+	// Source vertices: either fused seed ids or incoming vertex traversers,
+	// unique in first-appearance order, each with the traversers on it
+	// (parents[i] is vids[i]'s). travGroup keeps the dominant
+	// one-traverser-per-vertex case slice-free, and a single source needs
+	// no index.
 	n := len(x.SeedIDs)
 	if n == 0 {
 		n = len(in)
 	}
-	parents := make(map[string]travGroup, n)
 	vids := make([]string, 0, n)
+	parents := make([]travGroup, 0, n)
+	var slot map[string]int
+	if n > 1 {
+		slot = make(map[string]int, n)
+	}
+	add := func(id string, tr *Traverser) {
+		i, ok := slot[id]
+		if !ok {
+			i = len(vids)
+			vids = append(vids, id)
+			parents = append(parents, travGroup{})
+			if slot != nil {
+				slot[id] = i
+			}
+		}
+		parents[i].add(tr)
+	}
 	if len(x.SeedIDs) > 0 {
 		for _, id := range x.SeedIDs {
-			g := parents[id]
-			if g.n == 0 {
-				vids = append(vids, id)
-			}
-			g.add(nil)
-			parents[id] = g
+			add(id, nil)
 		}
 	} else {
 		for _, tr := range in {
@@ -700,12 +728,7 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 			if !ok || el.IsEdge {
 				return nil, fmt.Errorf("gremlin: %s() requires vertices", x.Name())
 			}
-			g := parents[el.ID]
-			if g.n == 0 {
-				vids = append(vids, el.ID)
-			}
-			g.add(tr)
-			parents[el.ID] = g
+			add(el.ID, tr)
 		}
 	}
 	if len(vids) == 0 {
@@ -771,7 +794,7 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 		nchunks = ctx.chunkable(len(vids), vertexChunkMin)
 	}
 	return ctx.mapChunks(len(vids), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
-		return vertexFanout(c, x, vids[lo:hi], parents)
+		return vertexFanout(c, x, vids[lo:hi], parents[lo:hi])
 	})
 }
 
@@ -787,7 +810,7 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 // destination) vertex, so the classes partition the counted edges. Other
 // aggregates are not linear in multiplicity and materialize on a
 // duplicated frontier.
-func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents map[string]travGroup) (types.Value, bool, error) {
+func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents []travGroup) (types.Value, bool, error) {
 	unique := true
 	for _, ps := range parents {
 		if ps.n != 1 {
@@ -804,8 +827,8 @@ func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents map[strin
 	}
 	var mults []int // distinct multiplicities, first-appearance order
 	classes := make(map[int][]string)
-	for _, vid := range vids {
-		m := parents[vid].n
+	for i, vid := range vids {
+		m := parents[i].n
 		if _, seen := classes[m]; !seen {
 			mults = append(mults, m)
 		}
@@ -856,7 +879,7 @@ type edgeHit struct {
 // incident edges of the chunk's vertices in ONE batched backend call, groups
 // them per vertex, and emits traversers (edges for outE/inE/bothE, resolved
 // far endpoints for out/in/both) in vertex-major order.
-func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string]travGroup) ([]*Traverser, error) {
+func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents []travGroup) ([]*Traverser, error) {
 	// groups[i] holds the edges attributed to vids[i], preserving the
 	// backend's edge order per vertex.
 	var groups [][]*graph.Element
@@ -905,7 +928,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 	}
 	hits := make([]edgeHit, 0, total)
 	for i, vid := range vids {
-		g := parents[vid]
+		g := parents[i]
 		for _, e := range groups[i] {
 			hits = append(hits, edgeHit{edge: e, parent: g.first, fromV: vid})
 			for _, p := range g.rest {
@@ -916,6 +939,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 
 	if x.ReturnEdges {
 		out := make([]*Traverser, 0, len(hits))
+		ctx.alloc.reserve(len(hits))
 		for _, h := range hits {
 			tr := ctx.derive(h.parent, h.edge)
 			tr.FromV = h.fromV
@@ -963,6 +987,7 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 		}
 	}
 	out := make([]*Traverser, 0, len(hits))
+	ctx.alloc.reserve(len(hits) - countNil(resolved))
 	for i, h := range hits {
 		if resolved[i] == nil {
 			continue // filtered by vq
@@ -972,6 +997,17 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents map[string
 		out = append(out, tr)
 	}
 	return out, nil
+}
+
+// countNil counts the nil elements of els.
+func countNil(els []*graph.Element) int {
+	n := 0
+	for _, el := range els {
+		if el == nil {
+			n++
+		}
+	}
+	return n
 }
 
 func runEdgeVertexStep(ctx *execCtx, x *EdgeVertexStep, in []*Traverser) ([]*Traverser, error) {

@@ -34,26 +34,17 @@ const (
 // query's own goroutine always executes one chunk itself, so a chunked step
 // makes progress even when every token is borrowed (nested parallel steps
 // inside where()/union() sub-traversals degrade to inline execution instead
-// of deadlocking on the pool).
+// of deadlocking on the pool). The token channel is made on the first
+// borrow, so a query whose steps never split (every point read) pays for
+// no channel.
 type workerPool struct {
-	sem chan struct{}
+	n    int // parallelism
+	once sync.Once
+	sem  chan struct{}
 	// gauge, when non-nil, tracks the number of borrowed workers
 	// (gremlin_parallel_workers in the server's registry).
 	gauge *telemetry.Gauge
 }
-
-// newWorkerPool sizes a pool for parallelism n. n <= 1 returns nil: the nil
-// pool is the serial engine, every chunked helper collapses to one inline
-// call with no goroutines, channels, or atomics on the path.
-func newWorkerPool(n int, gauge *telemetry.Gauge) *workerPool {
-	if n <= 1 {
-		return nil
-	}
-	return &workerPool{sem: make(chan struct{}, n-1), gauge: gauge}
-}
-
-// size returns the parallelism the pool was built for.
-func (p *workerPool) size() int { return cap(p.sem) + 1 }
 
 // tryAcquire borrows a worker token without blocking. Callers that fail to
 // acquire must run the work inline. A nil pool (the serial engine) never
@@ -62,6 +53,7 @@ func (p *workerPool) tryAcquire() bool {
 	if p == nil {
 		return false
 	}
+	p.once.Do(func() { p.sem = make(chan struct{}, p.n-1) })
 	select {
 	case p.sem <- struct{}{}:
 		if p.gauge != nil {
@@ -88,7 +80,7 @@ func (ctx *execCtx) chunkable(total, minChunk int) int {
 	if ctx.pool == nil || total < 2*minChunk {
 		return 1
 	}
-	return min(total/minChunk, ctx.pool.size())
+	return min(total/minChunk, ctx.pool.n)
 }
 
 // runChunks splits [0, total) into nchunks contiguous ranges and runs fn on

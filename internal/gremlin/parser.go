@@ -28,8 +28,13 @@ type gtok struct {
 	pos  int
 }
 
-func lexGremlin(input string) ([]gtok, error) {
-	var toks []gtok
+// lexGremlin tokenizes input into dst's storage, which it reuses when large
+// enough for maxTokens(input) tokens.
+func lexGremlin(dst []gtok, input string) ([]gtok, error) {
+	toks := dst[:0]
+	if n := maxTokens(input); cap(toks) < n {
+		toks = make([]gtok, 0, n)
+	}
 	i := 0
 	for i < len(input) {
 		c := input[i]
@@ -44,6 +49,12 @@ func lexGremlin(input string) ([]gtok, error) {
 			quote := c
 			start := i
 			i++
+			// A literal without escapes is a substring of the input.
+			if end := strings.IndexByte(input[i:], quote); end >= 0 && strings.IndexByte(input[i:i+end], '\\') < 0 {
+				toks = append(toks, gtok{kind: gtokString, text: input[i : i+end], pos: start})
+				i += end + 1
+				continue
+			}
 			var sb strings.Builder
 			for {
 				if i >= len(input) {
@@ -107,6 +118,39 @@ func lexGremlin(input string) ([]gtok, error) {
 	return toks, nil
 }
 
+// maxTokens bounds from above the number of tokens lexGremlin makes of
+// input, so the token slice is sized once: every token starts a run of
+// word bytes, is a punctuation byte, or is a string literal, which counts
+// once however many bytes it spans.
+func maxTokens(input string) int {
+	n := 1 // EOF
+	word := false
+	for i := 0; i < len(input); i++ {
+		c := input[i]
+		switch {
+		case c == '\'' || c == '"':
+			n++
+			word = false
+			for i++; i < len(input) && input[i] != c; i++ {
+				if input[i] == '\\' {
+					i++
+				}
+			}
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			word = false
+		case c == '_' || c == '$' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80:
+			if !word {
+				n++
+			}
+			word = true
+		default:
+			n++
+			word = false
+		}
+	}
+	return n
+}
+
 func isGIdentStart(r rune) bool { return r == '_' || r == '$' || unicode.IsLetter(r) }
 func isGIdentPart(r rune) bool {
 	return r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsDigit(r)
@@ -128,11 +172,11 @@ type gparser struct {
 	// positions (ids, predicate operands, constants — never structural
 	// arguments like labels, property keys, or limit counts) are replaced
 	// by parameter markers in the plan and collected into params, and their
-	// token indices recorded in paramToks so the normalized shape key
-	// renders them as "?" (see prepared.go).
+	// token indices recorded in paramToks (paramToks[i] is params[i]'s) so
+	// the normalized shape key renders them as "?" (see prepared.go).
 	paramize  bool
 	params    []types.Value
-	paramToks map[int]bool
+	paramToks []int
 }
 
 // paramArg returns the value of a literal argument, substituting a parameter
@@ -143,7 +187,7 @@ func (p *gparser) paramArg(a parsedArg) types.Value {
 	}
 	idx := len(p.params)
 	p.params = append(p.params, a.value)
-	p.paramToks[a.tok] = true
+	p.paramToks = append(p.paramToks, a.tok)
 	return types.NewString(paramMarker(idx))
 }
 
@@ -172,7 +216,7 @@ func (p *gparser) expectPunct(text string) error {
 // "g.V().hasLabel('patient').out('hasDisease')" into a traversal bound to
 // src. env supplies script variables referenced by name.
 func ParseTraversal(src *Source, input string, env map[string]any) (*Traversal, error) {
-	toks, err := lexGremlin(input)
+	toks, err := lexGremlin(nil, input)
 	if err != nil {
 		return nil, err
 	}
@@ -331,34 +375,18 @@ func (p *gparser) parseCall(src *Source) (string, []parsedArg, error) {
 func (p *gparser) parseArg(src *Source) (parsedArg, error) {
 	t := p.cur()
 	tok := p.pos
-	switch t.kind {
-	case gtokString:
+	if v, ok := literalValue(t); ok {
 		p.pos++
-		return parsedArg{value: types.NewString(t.text), isVal: true, tok: tok}, nil
+		return parsedArg{value: v, isVal: true, tok: tok}, nil
+	}
+	switch t.kind {
 	case gtokNumber:
 		p.pos++
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return parsedArg{}, p.errf("bad number %q", t.text)
-			}
-			return parsedArg{value: types.NewFloat(f), isVal: true, tok: tok}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return parsedArg{}, p.errf("bad number %q", t.text)
-		}
-		return parsedArg{value: types.NewInt(n), isVal: true, tok: tok}, nil
+		return parsedArg{}, p.errf("bad number %q", t.text)
 	case gtokIdent:
 		name := t.text
-		// Keywords for booleans and order modulators.
+		// Keywords for order modulators.
 		switch name {
-		case "true":
-			p.pos++
-			return parsedArg{value: types.NewBool(true), isVal: true, tok: tok}, nil
-		case "false":
-			p.pos++
-			return parsedArg{value: types.NewBool(false), isVal: true, tok: tok}, nil
 		case "desc", "decr":
 			p.pos++
 			return parsedArg{isDesc: true, name: name}, nil
@@ -458,6 +486,31 @@ func (p *gparser) parseArg(src *Source) (parsedArg, error) {
 	default:
 		return parsedArg{}, p.errf("unexpected token %q in argument list", t.text)
 	}
+}
+
+// literalValue is the value of a literal token: a string, a number, or
+// true/false. ok is false for any other token and for a number that does
+// not parse.
+func literalValue(t gtok) (types.Value, bool) {
+	switch t.kind {
+	case gtokString:
+		return types.NewString(t.text), true
+	case gtokNumber:
+		if strings.ContainsAny(t.text, ".eE") {
+			f, err := strconv.ParseFloat(t.text, 64)
+			return types.NewFloat(f), err == nil
+		}
+		n, err := strconv.ParseInt(t.text, 10, 64)
+		return types.NewInt(n), err == nil
+	case gtokIdent:
+		switch t.text {
+		case "true":
+			return types.NewBool(true), true
+		case "false":
+			return types.NewBool(false), true
+		}
+	}
+	return types.Null, false
 }
 
 // argScalar converts an argument to a single scalar value when possible.

@@ -2,10 +2,12 @@ package gremlin
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"db2graph/internal/graph"
+	"db2graph/internal/sql/types"
 )
 
 // DefaultPlanCacheEntries bounds a PlanCache built with capacity <= 0. Plans
@@ -47,6 +49,10 @@ type PlanCache struct {
 	mu      sync.Mutex
 	entries map[planKey]*list.Element
 	lru     list.List // front = most recently used
+	// byTokens indexes the plans by masked token stream for hits that skip
+	// the parse (prepared.go): at most maxTokenVariants per stream, and at
+	// most cap streams before the index starts over.
+	byTokens map[string][]*tokenPlan
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -84,7 +90,55 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheEntries
 	}
-	return &PlanCache{cap: capacity, entries: make(map[planKey]*list.Element)}
+	return &PlanCache{cap: capacity, entries: make(map[planKey]*list.Element), byTokens: make(map[string][]*tokenPlan)}
+}
+
+// maxTokenVariants bounds the plans one masked token stream indexes: the
+// structural variants of one script shape (one per label, say).
+const maxTokenVariants = 16
+
+// getTokens finds the plan a script with the masked token stream masked and
+// tokens toks compiles to under k's configuration, and binds its
+// parameters from the tokens. Only a plan the shape-keyed LRU still holds
+// answers, and a hit promotes it there. A miss is not counted: the caller
+// goes on to the shape-keyed get.
+func (c *PlanCache) getTokens(masked []byte, toks []gtok, k planKey) (*cachedPlan, []types.Value, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, tp := range c.byTokens[string(masked)] {
+		if tp.key.config != k.config || tp.key.nostrat != k.nostrat || tp.key.stats != k.stats {
+			continue
+		}
+		params, ok := tp.bind(toks)
+		if !ok {
+			continue
+		}
+		el, ok := c.entries[tp.plan.key]
+		if !ok || el.Value != tp.plan {
+			return nil, nil, false
+		}
+		c.lru.MoveToFront(el)
+		c.hits.Add(1)
+		return tp.plan, params, true
+	}
+	return nil, nil, false
+}
+
+// putTokens indexes tp under its script's masked token stream, replacing a
+// variant that answers the same scripts and dropping the oldest beyond
+// maxTokenVariants.
+func (c *PlanCache) putTokens(masked []byte, tp *tokenPlan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.byTokens[string(masked)]
+	if !ok && len(c.byTokens) >= c.cap {
+		c.byTokens = make(map[string][]*tokenPlan)
+	}
+	variants := slices.DeleteFunc(old, tp.sameScript)
+	if len(variants) >= maxTokenVariants {
+		variants = slices.Delete(variants, 0, 1)
+	}
+	c.byTokens[string(masked)] = append(variants, tp)
 }
 
 // get returns the cached plan for k, promoting it to most recently used.
@@ -129,6 +183,7 @@ func (c *PlanCache) Flush() {
 	c.mu.Lock()
 	n := c.lru.Len()
 	c.entries = make(map[planKey]*list.Element)
+	c.byTokens = make(map[string][]*tokenPlan)
 	c.lru.Init()
 	c.mu.Unlock()
 	c.invalidations.Add(int64(n))

@@ -1,6 +1,7 @@
 package gremlin
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,7 +69,11 @@ func shapeSafe(toks []gtok) bool {
 // renderShape renders the normalized cache key: the token stream with every
 // parameterized literal replaced by "?". Tokens are space-joined, strings
 // quoted, so distinct scripts cannot render to the same shape.
-func renderShape(toks []gtok, paramToks map[int]bool) string {
+func renderShape(toks []gtok, paramToks []int) string {
+	isParam := make([]bool, len(toks))
+	for _, i := range paramToks {
+		isParam[i] = true
+	}
 	var b strings.Builder
 	for i, t := range toks {
 		if t.kind == gtokEOF {
@@ -77,7 +82,7 @@ func renderShape(toks []gtok, paramToks map[int]bool) string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		if paramToks[i] {
+		if isParam[i] {
 			b.WriteByte('?')
 			continue
 		}
@@ -88,6 +93,96 @@ func renderShape(toks []gtok, paramToks map[int]bool) string {
 		b.WriteString(t.text)
 	}
 	return b.String()
+}
+
+// Parse-free hits. A hit through the shape key above still pays the lexer
+// and the paramize-mode parse, only to render the key. So the cache also
+// indexes each compiled plan by its script's token stream with every
+// literal masked (appendMasked), as a tokenPlan: the literal tokens the
+// script bound as parameters, and the exact text of every other
+// (structural) literal — labels, property keys, limit()/times() counts,
+// as() names. A script whose masked stream and structural literals match
+// runs that plan with its parameters taken straight from its tokens; a miss
+// or any mismatch parses as before. The parse is a function of the token
+// stream in which a parameter literal only ever becomes a marker, so a
+// match compiles to the very plan the parse would find under the shape key.
+
+// appendMasked appends the masked token stream of toks to dst: tokens
+// space-joined as in renderShape, every string literal as "?" and every
+// number as "#" (the lexer admits neither character in any token).
+func appendMasked(dst []byte, toks []gtok) []byte {
+	for i, t := range toks {
+		if t.kind == gtokEOF {
+			break
+		}
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		switch t.kind {
+		case gtokString:
+			dst = append(dst, '?')
+		case gtokNumber:
+			dst = append(dst, '#')
+		default:
+			dst = append(dst, t.text...)
+		}
+	}
+	return dst
+}
+
+// tokenPlan is one compiled plan in the token index: the plan key's
+// configuration part (shape empty), the token index of each parameter
+// (params[i] binds parameter i), and the structural literals.
+type tokenPlan struct {
+	key    planKey
+	plan   *cachedPlan
+	params []int
+	fixed  []fixedLit
+}
+
+// fixedLit is a structural literal: a token index and its exact text.
+type fixedLit struct {
+	tok  int
+	text string
+}
+
+// newTokenPlan indexes plan under toks, the script it was compiled or found
+// for, whose parse bound paramToks.
+func newTokenPlan(key planKey, plan *cachedPlan, toks []gtok, paramToks []int) *tokenPlan {
+	key.shape = ""
+	tp := &tokenPlan{key: key, plan: plan, params: slices.Clone(paramToks)}
+	for i, t := range toks {
+		if (t.kind == gtokString || t.kind == gtokNumber) && !slices.Contains(paramToks, i) {
+			tp.fixed = append(tp.fixed, fixedLit{tok: i, text: strings.Clone(t.text)})
+		}
+	}
+	return tp
+}
+
+// bind returns the parameters toks binds to the plan: toks has the plan's
+// masked stream, so only the literal texts can differ. ok is false when a
+// structural literal differs or a parameter number does not parse.
+func (tp *tokenPlan) bind(toks []gtok) ([]types.Value, bool) {
+	for _, f := range tp.fixed {
+		if toks[f.tok].text != f.text {
+			return nil, false
+		}
+	}
+	params := make([]types.Value, len(tp.params))
+	for i, ti := range tp.params {
+		v, ok := literalValue(toks[ti])
+		if !ok {
+			return nil, false
+		}
+		params[i] = v
+	}
+	return params, true
+}
+
+// sameScript reports whether two variants of one masked stream answer the
+// same scripts.
+func (tp *tokenPlan) sameScript(o *tokenPlan) bool {
+	return tp.key == o.key && slices.Equal(tp.params, o.params) && slices.Equal(tp.fixed, o.fixed)
 }
 
 // bindParams clones a cached plan template and substitutes the call's

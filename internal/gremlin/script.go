@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"db2graph/internal/graph"
 	"db2graph/internal/sql/types"
@@ -37,14 +38,18 @@ func RunScript(src *Source, script string, env map[string]any) ([]any, error) {
 // cancellation; the context is threaded through every statement execution
 // down to the backend.
 func RunScriptCtx(ctx context.Context, src *Source, script string, env map[string]any) ([]any, error) {
-	toks, err := lexGremlin(script)
+	buf := tokenPool.Get().(*[]gtok)
+	toks, err := lexGremlin(*buf, script)
+	defer func() {
+		clear(toks)
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrParse, err)
 	}
-	vars := make(map[string]any, len(env))
-	for k, v := range env {
-		vars[k] = v
-	}
+	// vars is env until the first assignment, which copies it.
+	vars, ownVars := env, false
 
 	// Split statements on top-level semicolons.
 	var stmts [][]gtok
@@ -84,23 +89,41 @@ func RunScriptCtx(ctx context.Context, src *Source, script string, env map[strin
 		if len(stmt) >= 2 && stmt[0].kind == gtokIdent && stmt[1].kind == gtokPunct && stmt[1].text == "=" {
 			varName = stmt[0].text
 			body = stmt[2:]
+			if !ownVars {
+				vars, ownVars = make(map[string]any, len(env)+1), true
+				for k, v := range env {
+					vars[k] = v
+				}
+			}
 		}
 		// A single-statement script without an assignment may hit the plan
 		// cache. The cache keys on the script's *normalized shape* — the
 		// parse runs in paramize mode so literals at value positions render
 		// as "?" in the key and literal variants share one compiled
-		// template (see prepared.go). A hit pays lex+parse but skips the
-		// strategy rewrite and the cost model; the template is rebound to
-		// this call's literals. Scripts that bind or reference variables
-		// splice environment values into the plan and always recompile
-		// (see PlanCache), as do scripts whose string literals contain the
-		// parameter marker (shapeSafe).
+		// template (see prepared.go). A hit skips the strategy rewrite and
+		// the cost model; the template is rebound to this call's literals.
+		// Before that, the token index (prepared.go, parse-free hits) may
+		// answer from the masked token stream without parsing at all.
+		// Scripts that bind or reference variables splice environment
+		// values into the plan and always recompile (see PlanCache), as do
+		// scripts whose string literals contain the parameter marker
+		// (shapeSafe).
 		cacheable := src.PlanCache != nil && len(stmts) == 1 && varName == "" && shapeSafe(body)
-		p := &gparser{toks: body, env: vars}
+		var key planKey
+		var masked []byte
 		if cacheable {
-			p.paramize = true
-			p.paramToks = make(map[int]bool)
+			key = planKey{
+				config:  graph.ConfigVersionOf(src.Backend),
+				nostrat: src.DisableStrategies,
+				stats:   statsEpoch(src),
+			}
+			var maskBuf [512]byte
+			masked = appendMasked(maskBuf[:0], body)
+			if plan, params, ok := src.PlanCache.getTokens(masked, body, key); ok {
+				return runCachedPlan(ctx, src, plan, params)
+			}
 		}
+		p := &gparser{toks: body, env: vars, paramize: cacheable}
 		tr, term, err := p.parseChain(src, true)
 		if err != nil {
 			return nil, fmt.Errorf("%w: statement %d: %v", ErrParse, si+1, err)
@@ -109,41 +132,29 @@ func RunScriptCtx(ctx context.Context, src *Source, script string, env map[strin
 			return nil, fmt.Errorf("%w: statement %d: unexpected trailing input %q", ErrParse, si+1, p.cur().text)
 		}
 		if cacheable && !p.envUsed && tr.err == nil {
-			key := planKey{
-				shape:   renderShape(body, p.paramToks),
-				config:  graph.ConfigVersionOf(src.Backend),
-				nostrat: src.DisableStrategies,
-				stats:   statsEpoch(src),
-			}
-			if plan, ok := src.PlanCache.get(key); ok && plan.nparams == len(p.params) {
-				steps := plan.steps
-				if plan.nparams > 0 {
-					steps = bindParams(steps, p.params)
+			key.shape = renderShape(body, p.paramToks)
+			plan, ok := src.PlanCache.get(key)
+			if !ok || plan.nparams != len(p.params) {
+				// Compile the template once — strategies, then the cost
+				// model when statistics are available — and cache it; this
+				// run executes a bound copy of the very plan later hits will
+				// share.
+				steps := cloneSteps(tr.Steps)
+				if !src.DisableStrategies {
+					steps = applyStrategies(steps, src.Strategies)
 				}
-				trs, err := (&Traversal{Src: src, Steps: steps, planned: true}).ExecuteCtx(ctx)
-				if err != nil {
-					return nil, fmt.Errorf("gremlin: statement %d: %w", si+1, err)
+				if src.Stats != nil {
+					if st := src.Stats.Current(); st != nil {
+						applyCost(steps, st)
+					}
 				}
-				return finishStatement(trs, plan.term, si, vars, varName, &lastResult)
+				plan = &cachedPlan{key: key, steps: steps, nparams: len(p.params), term: term}
+				src.PlanCache.put(plan)
 			}
-			// Compile the template once — strategies, then the cost model
-			// when statistics are available — and cache it; this run
-			// executes a bound copy of the very plan later hits will share.
-			steps := cloneSteps(tr.Steps)
-			if !src.DisableStrategies {
-				steps = applyStrategies(steps, src.Strategies)
-			}
-			if src.Stats != nil {
-				if st := src.Stats.Current(); st != nil {
-					applyCost(steps, st)
-				}
-			}
-			src.PlanCache.put(&cachedPlan{key: key, steps: steps, nparams: len(p.params), term: term})
-			if len(p.params) > 0 {
-				steps = bindParams(steps, p.params)
-			}
-			tr = &Traversal{Src: src, Steps: steps, planned: true}
-		} else if len(p.params) > 0 {
+			src.PlanCache.putTokens(masked, newTokenPlan(key, plan, body, p.paramToks))
+			return runCachedPlan(ctx, src, plan, p.params)
+		}
+		if len(p.params) > 0 {
 			// The paramized parse turned out uncacheable (variable
 			// reference or builder error): substitute the literals back
 			// before normal execution.
@@ -158,6 +169,26 @@ func RunScriptCtx(ctx context.Context, src *Source, script string, env map[strin
 		}
 	}
 	return lastResult, nil
+}
+
+// tokenPool recycles the token slices of RunScriptCtx calls: nothing a call
+// returns or caches refers to its tokens (plans and token plans keep only
+// the literal texts, which belong to the script).
+var tokenPool = sync.Pool{New: func() any { return new([]gtok) }}
+
+// runCachedPlan executes a cached plan bound to params as a script's only
+// statement.
+func runCachedPlan(ctx context.Context, src *Source, plan *cachedPlan, params []types.Value) ([]any, error) {
+	steps := plan.steps
+	if plan.nparams > 0 {
+		steps = bindParams(steps, params)
+	}
+	trs, err := (&Traversal{Src: src, Steps: steps, planned: true}).ExecuteCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("gremlin: statement 1: %w", err)
+	}
+	var result []any
+	return finishStatement(trs, plan.term, 0, nil, "", &result)
 }
 
 // statsEpoch is the ANALYZE generation plans are costed under — part of the

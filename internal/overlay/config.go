@@ -155,8 +155,9 @@ func (e IDExpr) ConstPrefix() (string, bool) {
 	return "", false
 }
 
-// escapePart protects '::' separators inside composed id values.
-func escapePart(s string) string {
+// EscapePart protects '::' separators inside one composed id part; a part
+// without '%' or ':' comes back as is.
+func EscapePart(s string) string {
 	s = strings.ReplaceAll(s, "%", "%25")
 	return strings.ReplaceAll(s, ":", "%3A")
 }
@@ -172,7 +173,7 @@ func UnescapePart(s string) string {
 func ComposeID(parts []string) string {
 	esc := make([]string, len(parts))
 	for i, p := range parts {
-		esc[i] = escapePart(p)
+		esc[i] = EscapePart(p)
 	}
 	return strings.Join(esc, "::")
 }

@@ -333,3 +333,40 @@ func BenchmarkIndexProbe(b *testing.B) {
 		})
 	}
 }
+
+// TestPooledPlanKeepsEarlierRows runs one prepared statement again and
+// again on its pooled plan. A projection carves each execution's rows from
+// one slab; a later execution must never write into rows an earlier result
+// still holds.
+func TestPooledPlanKeepsEarlierRows(t *testing.T) {
+	db := New()
+	if err := db.ExecScript(`
+	CREATE TABLE t (id BIGINT PRIMARY KEY, grp BIGINT, name VARCHAR(8));
+	INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 10, 'c'), (4, 30, 'd');
+	`); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Prepare("SELECT name, grp FROM t WHERE id IN (?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*Rows
+	var want []string
+	for _, ids := range [][]int64{{1, 2}, {3}, {4, 1, 2}, {9}, {2, 3, 4}} {
+		list := make([]types.Value, len(ids))
+		for i, id := range ids {
+			list[i] = types.NewInt(id)
+		}
+		rows, err := st.Query(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, rows)
+		want = append(want, fmt.Sprint(rows.All()))
+	}
+	for i, rows := range held {
+		if got := fmt.Sprint(rows.All()); got != want[i] {
+			t.Fatalf("result %d changed after later executions: %s, was %s", i, got, want[i])
+		}
+	}
+}

@@ -156,6 +156,9 @@ func run(n Node, ctx *Context) ([][]types.Value, error) {
 	}
 	defer n.Close()
 	var out [][]types.Value
+	if k := exactRows(n); k > 0 {
+		out = make([][]types.Value, 0, k)
+	}
 	for i := 0; ; i++ {
 		if i&1023 == 0 {
 			if err := ctx.Interrupted(); err != nil {
@@ -354,9 +357,33 @@ func (s *ScanNode) Next() (storage.Row, error) {
 	return row, nil
 }
 
-// Close implements Node.
+// exactRows returns how many more rows n emits when it knows exactly (a
+// scan holds its matches from Open on, and a projection emits one row per
+// child row), or -1.
+func exactRows(n Node) int {
+	switch x := n.(type) {
+	case *ScanNode:
+		return len(x.rows) - x.pos
+	case *ProjectNode:
+		return exactRows(x.Child)
+	}
+	return -1
+}
+
+// scanRowsKept bounds the row-slice capacity a closed scan keeps.
+const scanRowsKept = 64
+
+// Close implements Node. The row slice keeps its capacity for the next
+// execution of a pooled plan, up to scanRowsKept rows (every pooled plan
+// holds its slice, so a larger bound shows in the live heap), but no
+// longer points at the rows.
 func (s *ScanNode) Close() error {
-	s.rows = nil
+	if cap(s.rows) > scanRowsKept {
+		s.rows = nil
+	} else {
+		clear(s.rows)
+		s.rows = s.rows[:0]
+	}
 	s.params = nil
 	return nil
 }
@@ -503,6 +530,9 @@ type ProjectNode struct {
 	Exprs  []ExprFn
 	Cols   []Column
 	params *Params
+	// slab backs the rows this execution has yet to emit. Open drops it,
+	// so a later execution never writes into rows a result still holds.
+	slab []types.Value
 }
 
 // Columns implements Node.
@@ -513,16 +543,25 @@ func (p *ProjectNode) Open(ctx *Context) error {
 	if ctx != nil {
 		p.params = &ctx.Params
 	}
+	p.slab = nil
 	return p.Child.Open(ctx)
 }
 
-// Next implements Node.
+// Next implements Node. When the child knows how many rows it has left,
+// the first row's allocation carves all of them.
 func (p *ProjectNode) Next() (storage.Row, error) {
 	row, err := p.Child.Next()
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make(storage.Row, len(p.Exprs))
+	n := len(p.Exprs)
+	// A nil row ends the rows, so even a row of no columns comes from a
+	// non-nil slab.
+	if p.slab == nil || len(p.slab) < n {
+		p.slab = make([]types.Value, n*max(exactRows(p.Child)+1, 1))
+	}
+	out := p.slab[:n:n]
+	p.slab = p.slab[n:]
 	for i, fn := range p.Exprs {
 		v, err := fn(row, p.params)
 		if err != nil {
@@ -533,8 +572,12 @@ func (p *ProjectNode) Next() (storage.Row, error) {
 	return out, nil
 }
 
-// Close implements Node.
-func (p *ProjectNode) Close() error { return p.Child.Close() }
+// Close implements Node. It drops the slab, so a pooled plan does not keep
+// the last result's rows alive.
+func (p *ProjectNode) Close() error {
+	p.slab = nil
+	return p.Child.Close()
+}
 
 // --- Joins ---
 
