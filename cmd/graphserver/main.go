@@ -84,8 +84,6 @@ func main() {
 			"largest accepted request frame in bytes")
 		maxConcurrent = flag.Int("max-concurrent", 64,
 			"queries executing simultaneously before fast-failing with OVERLOADED (negative disables)")
-		parallelism = flag.Int("parallelism", 0,
-			"goroutines per query for parallel traversal execution (0 = GOMAXPROCS, 1 = serial)")
 		planCacheSize = flag.Int("plan-cache-size", 0,
 			"compiled-plan cache capacity in plans (0 = default 256)")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second,
@@ -276,7 +274,7 @@ func main() {
 		MaxTraversers:  *maxTraversers,
 		MaxRepeatIters: *maxRepeat,
 		MaxResults:     *maxResults,
-	}).WithParallelism(*parallelism)
+	})
 	// The server default-enables a plan cache; the flag only sizes it.
 	if *planCacheSize > 0 {
 		src = src.WithPlanCache(gremlin.NewPlanCache(*planCacheSize))

@@ -4,8 +4,8 @@ import "context"
 
 // BatchBackend is the vectorized extension of Backend: set-oriented
 // multi-get lookups that resolve many vertices or many adjacency lists in
-// one call. The gremlin engine collects a chunk of traversers and issues one
-// batched lookup per chunk; backends translate it into one native batch
+// one call. The gremlin engine collects a hop's whole frontier and issues one
+// batched lookup per hop; backends translate it into one native batch
 // access (one SQL IN-list on the sql/overlay path, one sorted multi-get on
 // the kvstore/janus path) instead of a tuple-at-a-time loop.
 //

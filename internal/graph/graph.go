@@ -311,18 +311,19 @@ func (q *Query) Matches(e *Element) bool {
 }
 
 // Backend is the provider contract: the minimal graph structure API every
-// store implements. All methods must be safe for concurrent use: the
-// traversal engine issues overlapping calls both across queries and, under
-// parallel execution (gremlin.WithParallelism), from several worker
-// goroutines inside one query. graphtest.RunConcurrent exercises this
+// store implements. All methods must be safe for concurrent use: each query
+// runs on one goroutine, but many queries share one backend, so calls from
+// different queries overlap. graphtest.RunConcurrent exercises this
 // guarantee under the race detector.
 //
 // Ordering contract: for a fixed store state, every method must return
 // results in a deterministic order, and VertexEdges must keep each
 // vertex's incident-edge sub-order independent of which other vertices are
-// in the same call (the engine splits vertex batches into chunks and
-// reassembles per-vertex groups, so a co-query-dependent sub-order would
-// make results vary with the chunking).
+// in the same call. Callers split one frontier into several calls and
+// reassemble per-vertex groups: the cluster coordinator sends each shard
+// only its own vertices, and GroupEdgesByVertex callers such as the
+// overlay's adjacency cache fetch only the vertices they miss. A
+// co-query-dependent sub-order would make results vary with the split.
 //
 // Every method takes a context.Context carrying the query's deadline and
 // cancellation; implementations must return promptly (with an error wrapping

@@ -1,10 +1,9 @@
 // Concurrency conformance for graph.Backend implementations. RunConcurrent
 // hammers one backend instance with overlapping reads from many goroutines
-// — raw structure-API calls and Gremlin traversals running with engine
-// parallelism — and checks every result against a serial golden pass. Run
-// it under -race: its job is to prove the backend's documented
-// concurrent-use guarantee and the deterministic-ordering contract that
-// parallel traversal execution depends on (see graph.Backend). A second
+// — raw structure-API calls and Gremlin traversals — and checks every result
+// against a serial golden pass. Run it under -race: its job is to prove the
+// backend's documented concurrent-use guarantee and its deterministic-
+// ordering contract (see graph.Backend). A second
 // phase layers FaultBackend on top so probabilistic error and delay
 // injection is itself exercised concurrently.
 package graphtest
@@ -65,7 +64,7 @@ func RunConcurrent(t *testing.T, build func(vertices, edges []*graph.Element) (g
 	if err != nil {
 		t.Fatalf("E: %v", err)
 	}
-	src := gremlin.NewSource(b).WithParallelism(4)
+	src := gremlin.NewSource(b)
 
 	probes := []struct {
 		name string
@@ -164,7 +163,7 @@ func RunConcurrent(t *testing.T, build func(vertices, edges []*graph.Element) (g
 	// golden result or fail with exactly the injected error.
 	fb := WrapFaults(b, 11)
 	fb.Inject("VertexEdges", FaultPoint{Err: ErrInjected, Prob: 0.3, Delay: 100 * time.Microsecond})
-	fsrc := gremlin.NewSource(fb).WithParallelism(4)
+	fsrc := gremlin.NewSource(fb)
 	var goldenOut string
 	for i, p := range probes {
 		if p.name == "gremlin-out" {

@@ -120,9 +120,8 @@ func CheckAggCounts(t *testing.T, b graph.Backend) {
 	}
 }
 
-// CheckDupFrontierCounts runs the pushed-count scripts on src,
-// serially and in parallel, and fails on any answer that differs from
-// golden's.
+// CheckDupFrontierCounts runs the pushed-count scripts on src and fails on
+// any answer that differs from golden's.
 func CheckDupFrontierCounts(t *testing.T, golden, src *gremlin.Source) {
 	t.Helper()
 	for _, script := range pushedCountScripts {
@@ -131,14 +130,12 @@ func CheckDupFrontierCounts(t *testing.T, golden, src *gremlin.Source) {
 			t.Fatalf("golden %q: %v", script, err)
 		}
 		want := renderObjs(res)
-		for _, par := range []int{1, 8} {
-			res, err := gremlin.RunScript(src.WithParallelism(par), script, nil)
-			if err != nil {
-				t.Fatalf("par=%d %q: %v", par, script, err)
-			}
-			if got := renderObjs(res); got != want {
-				t.Fatalf("par=%d %q = %s, unoptimized plan gives %s", par, script, got, want)
-			}
+		res, err = gremlin.RunScript(src, script, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", script, err)
+		}
+		if got := renderObjs(res); got != want {
+			t.Fatalf("%q = %s, unoptimized plan gives %s", script, got, want)
 		}
 	}
 }

@@ -51,10 +51,8 @@ func Dataset() (vertices, edges []*graph.Element) {
 	return vertices, edges
 }
 
-// FanoutDataset returns the canonical dataset plus a fan-out set large
-// enough for the parallel engine to split hops into several backend batch
-// calls (it needs at least two vertexChunkMin-sized chunks of anchors): a
-// hub topic "h1" that every user follows and that likes every user back,
+// FanoutDataset returns the canonical dataset plus a fan-out set whose hops
+// batch wide frontiers (dozens of anchors per backend call): a hub topic "h1" that every user follows and that likes every user back,
 // and a ring in which each user mentions the next three.
 func FanoutDataset() (vertices, edges []*graph.Element) {
 	vertices, edges = Dataset()

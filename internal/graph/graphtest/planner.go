@@ -1,15 +1,13 @@
 // Differential conformance for the cost model. The cost model only
 // annotates plans with row estimates for explain(), so a statistics-backed
 // source must execute exactly like a static one: the same battery runs
-// against a costed source at parallelism 1/2/8, cold and warm plan cache,
-// and must reproduce the static (no statistics) serial golden
-// BIT-IDENTICALLY — same objects in the same order, same per-step traverser
-// counts in profile() reports. explain() must report every plan as costed.
+// against a costed source, cold and warm plan cache, and must reproduce the
+// static (no statistics) golden BIT-IDENTICALLY — same objects in the same
+// order, same per-step traverser counts in profile() reports. explain() must report every plan as costed.
 package graphtest
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"db2graph/internal/graph"
@@ -19,7 +17,7 @@ import (
 
 // plannerScripts extends the differential battery with fan-out shapes on
 // the fan-out dataset: hub hops, multi-label fan-outs, limit/both variants,
-// and chained hops over a frontier large enough to chunk.
+// and chained hops over a wide frontier.
 var plannerScripts = []string{
 	`g.V().out('follows')`,
 	`g.V().in('likes')`,
@@ -68,27 +66,24 @@ func RunPlannerDifferential(t *testing.T, build func(vertices, edges []*graph.El
 		t.Fatalf("analyze: %v", err)
 	}
 	pc := gremlin.NewPlanCache(0)
-	for _, par := range []int{1, 2, 8} {
-		name := fmt.Sprintf("par=%d", par)
-		src := gremlin.NewSource(b).WithParallelism(par).WithPlanCache(pc).WithStats(sp)
-		for round := 0; round < 2; round++ { // round 1 hits the plan cache
-			for i, script := range scripts {
-				res, err := gremlin.RunScript(src, script, nil)
-				if err != nil {
-					t.Fatalf("%s round %d %q: %v", name, round, script, err)
-				}
-				if got := renderObjs(res); got != wantRes[i] {
-					t.Fatalf("%s round %d %q diverged\n got: %s\nwant: %s",
-						name, round, script, got, wantRes[i])
-				}
-				pres, err := gremlin.RunScript(src, script+".profile()", nil)
-				if err != nil {
-					t.Fatalf("%s round %d %q profile: %v", name, round, script, err)
-				}
-				if got := renderProfile(pres[0].(*telemetry.Profile)); got != wantProf[i] {
-					t.Fatalf("%s round %d %q profile diverged\n got: %s\nwant: %s",
-						name, round, script, got, wantProf[i])
-				}
+	costed := gremlin.NewSource(b).WithPlanCache(pc).WithStats(sp)
+	for round := 0; round < 2; round++ { // round 1 hits the plan cache
+		for i, script := range scripts {
+			res, err := gremlin.RunScript(costed, script, nil)
+			if err != nil {
+				t.Fatalf("round %d %q: %v", round, script, err)
+			}
+			if got := renderObjs(res); got != wantRes[i] {
+				t.Fatalf("round %d %q diverged\n got: %s\nwant: %s",
+					round, script, got, wantRes[i])
+			}
+			pres, err := gremlin.RunScript(costed, script+".profile()", nil)
+			if err != nil {
+				t.Fatalf("round %d %q profile: %v", round, script, err)
+			}
+			if got := renderProfile(pres[0].(*telemetry.Profile)); got != wantProf[i] {
+				t.Fatalf("round %d %q profile diverged\n got: %s\nwant: %s",
+					round, script, got, wantProf[i])
 			}
 		}
 	}

@@ -2,17 +2,15 @@
 // materializes comes from a bump allocator over GC-owned slabs instead of an
 // individual heap allocation.
 //
-// Each goroutine that mints traversers owns its allocator: ExecuteCtx makes
-// one for the query, and every parallel chunk (parallel.go runChunks) makes
-// its own, so chunk goroutines never contend per traverser and never hand
-// the same slot to two chunks. Slots are handed out in order and never
-// recycled — a slab is garbage once nothing points into it — so a result the
+// Each query owns its allocator: ExecuteCtx makes one, and the query's
+// single goroutine mints every traverser from it, so no slot is ever
+// contended. Slots are handed out in order and never recycled — a slab is garbage once nothing points into it — so a result the
 // caller retains can never alias memory a later query reuses.
 package gremlin
 
-// Slab sizing. A fresh allocator starts with a small slab so the thousands
-// of tiny chunks a batched query can spawn don't each pin a large one, and
-// doubles up to travSlabMax.
+// Slab sizing. A fresh allocator starts with a small slab so a point read
+// that mints a handful of traversers doesn't pin a large one, and doubles up
+// to travSlabMax.
 const (
 	travSlabMin = 4
 	travSlabMax = 512
@@ -23,15 +21,13 @@ const (
 // gremlin.pool_hit_ratio metric, and goes with that harness's next change.
 func PoolStats() (hits, misses int64) { return 0, 0 }
 
-// travAlloc is a goroutine-private bump allocator over traverser slabs. Not
+// travAlloc is a query-private bump allocator over traverser slabs. Not
 // safe for concurrent use.
 type travAlloc struct {
 	// cur is the active slab, len = slots handed out so far.
 	cur  []Traverser
 	next int // next slab size (doubling growth)
 }
-
-func newTravAlloc() *travAlloc { return &travAlloc{next: travSlabMin} }
 
 // reserve makes room for n more slots, so a step that knows how many
 // traversers it mints takes them from one slab of exactly that size instead

@@ -30,7 +30,7 @@ type allocBaseline struct {
 
 // allocGateRows are the paths the gate measures, keyed as in
 // testdata/alloc_baseline.json:
-//   - batched_expand_native_par1: BenchmarkBatchedExpand native/par=1, the
+//   - batched_expand_native: BenchmarkBatchedExpand native, the
 //     two-hop frontier expansion over the native batch backend (no SQL);
 //   - linkbench_<kind>: BenchmarkLinkBenchReads/<kind>, one LinkBench
 //     Table-1 read through RunScriptCtx on the SQL-backed overlay.
@@ -38,7 +38,7 @@ var allocGateRows = []struct {
 	key   string
 	bench func(*testing.B)
 }{
-	{"batched_expand_native_par1", benchBatchedExpandNative},
+	{"batched_expand_native", benchBatchedExpandNative},
 	{"linkbench_getNode", func(b *testing.B) { benchLinkBenchRead(b, linkbench.GetNode) }},
 	{"linkbench_countLinks", func(b *testing.B) { benchLinkBenchRead(b, linkbench.CountLinks) }},
 	{"linkbench_getLink", func(b *testing.B) { benchLinkBenchRead(b, linkbench.GetLink) }},
@@ -95,7 +95,7 @@ var (
 
 func benchBatchedExpandNative(b *testing.B) {
 	nativeOnce.Do(func() { nativeBackend = gremlin.BenchBackend(b, 2000) })
-	src := gremlin.NewSource(nativeBackend).WithParallelism(1)
+	src := gremlin.NewSource(nativeBackend)
 	if _, err := gremlin.BatchedExpand(src).ToList(); err != nil { // warm caches
 		b.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func benchBatchedExpandNative(b *testing.B) {
 // linkBenchFixture is a LinkBench graph loaded into the relational engine
 // and opened through the overlay the way graphserver serves it: split
 // layout (a table per vertex and edge type), an instrumented backend,
-// statistics and a plan cache, at parallelism 1.
+// statistics and a plan cache.
 type linkBenchFixture struct {
 	src     *gremlin.Source
 	scripts map[linkbench.QueryKind][]string
@@ -142,7 +142,7 @@ func linkBenchReads(tb testing.TB) *linkBenchFixture {
 			return
 		}
 		src := gremlin.NewSource(graph.Instrument(g, telemetry.NewRegistry())).
-			WithPlanCache(gremlin.NewPlanCache(0)).WithParallelism(1)
+			WithPlanCache(gremlin.NewPlanCache(0))
 		sp := graph.NewStatsProvider(src.Backend)
 		if _, err := sp.Analyze(context.Background()); err != nil {
 			lbErr = err

@@ -9,7 +9,7 @@ import (
 )
 
 // aliasTestBackend builds a small graph with paths long enough to exercise
-// slab growth across chunks and path copying.
+// slab growth and path copying.
 func aliasTestBackend(t testing.TB, n int) *graph.MemBackend {
 	t.Helper()
 	m := graph.NewMemBackend()
@@ -56,7 +56,7 @@ func churn(t *testing.T, src *Source, rounds int) {
 // query must survive, bit for bit, any number of later queries.
 func TestResultsSurviveLaterQueries(t *testing.T) {
 	m := aliasTestBackend(t, 600)
-	src := NewSource(m).WithParallelism(4)
+	src := NewSource(m)
 
 	trs, err := src.V().Out("link").Path().Execute()
 	if err != nil {
@@ -105,12 +105,12 @@ func TestResultsSurviveLaterQueries(t *testing.T) {
 	}
 }
 
-// TestResultsSurviveConcurrentQueries runs parallel queries from many
-// goroutines, each verifying its own results after every query. Run under
-// -race this proves traverser slots never cross live queries.
+// TestResultsSurviveConcurrentQueries runs queries from many goroutines,
+// each verifying its own results after every query. Run under -race this
+// proves traverser slots never cross live queries.
 func TestResultsSurviveConcurrentQueries(t *testing.T) {
 	m := aliasTestBackend(t, 300)
-	src := NewSource(m).WithParallelism(4)
+	src := NewSource(m)
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for w := 0; w < 8; w++ {

@@ -78,9 +78,8 @@ func BenchmarkPlanCache(b *testing.B) {
 func batchedExpand(src *Source) *Traversal { return src.V().Out("l0").Out() }
 
 // BenchmarkBatchedExpand measures a two-hop frontier expansion through the
-// backend's native vectorized multi-get (one sorted lookup per chunk) vs
-// the generic per-contract fallback adapter, at serial and parallel
-// execution.
+// backend's native vectorized multi-get (one sorted lookup per hop) vs the
+// generic per-contract fallback adapter.
 func BenchmarkBatchedExpand(b *testing.B) {
 	m := benchBackend(b, 2000)
 	run := func(b *testing.B, src *Source) {
@@ -96,12 +95,6 @@ func BenchmarkBatchedExpand(b *testing.B) {
 			}
 		}
 	}
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("native/par=%d", par), func(b *testing.B) {
-			run(b, NewSource(m).WithParallelism(par))
-		})
-		b.Run(fmt.Sprintf("fallback/par=%d", par), func(b *testing.B) {
-			run(b, NewSource(graph.FallbackBatch(m)).WithParallelism(par))
-		})
-	}
+	b.Run("native", func(b *testing.B) { run(b, NewSource(m)) })
+	b.Run("fallback", func(b *testing.B) { run(b, NewSource(graph.FallbackBatch(m))) })
 }

@@ -3,7 +3,6 @@ package gremlin
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -58,13 +57,8 @@ type execCtx struct {
 	// rides in the query context, so the unprofiled hot path pays one nil
 	// check per step and nothing per traverser.
 	prof *profiler
-	// pool, when non-nil, lends worker goroutines to chunked step
-	// execution (see parallel.go). A nil pool is the serial engine.
-	pool *workerPool
-	// alloc is the goroutine-private traverser allocator (see alloc.go).
-	// Shared by execCtx copies on the same goroutine (serial(),
-	// sub-traversals); runChunks gives each chunk goroutine a fresh one.
-	alloc *travAlloc
+	// alloc is the query's traverser allocator (see alloc.go).
+	alloc travAlloc
 }
 
 // interrupted returns a non-nil error once the query context is done.
@@ -156,31 +150,16 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 		span = localSpan
 		goctx = telemetry.WithSpan(goctx, span)
 	}
-	par := t.Src.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	// The context, its traverser allocator and its worker pool share one
-	// allocation; a serial query (par 1) leaves the pool nil, and only a
-	// plan with store() or cap() gets a side-effect store.
-	root := &struct {
-		ctx   execCtx
-		alloc travAlloc
-		pool  workerPool
-	}{ctx: execCtx{
+	ctx := &execCtx{
 		goctx:      goctx,
 		backend:    t.Src.Backend,
 		batch:      graph.Batched(t.Src.Backend),
 		batchHist:  t.Src.BatchHist,
 		trackPaths: plansPaths(steps),
 		limits:     t.Src.Limits.Normalized(),
-	}, alloc: travAlloc{next: travSlabMin}}
-	ctx := &root.ctx
-	ctx.alloc = &root.alloc
-	if par > 1 {
-		root.pool.n, root.pool.gauge = par, t.Src.WorkerGauge
-		ctx.pool = &root.pool
+		alloc:      travAlloc{next: travSlabMin},
 	}
+	// Only a plan with store() or cap() gets a side-effect store.
 	if plansSideEffects(steps) {
 		ctx.sideEffects = make(map[string][]any)
 	}
@@ -212,6 +191,33 @@ func (t *Traversal) ExecuteCtx(goctx context.Context) (trs []*Traverser, err err
 	return frame, nil
 }
 
+// plansSideEffects reports whether any step (recursively) writes or reads
+// the shared side-effect store, so ExecuteCtx allocates the store only for
+// plans that use it.
+func plansSideEffects(steps []Step) bool {
+	for _, s := range steps {
+		switch x := s.(type) {
+		case *StoreStep, *CapStep:
+			return true
+		case *RepeatStep:
+			if plansSideEffects(x.Body) || plansSideEffects(x.Until) {
+				return true
+			}
+		case *WhereStep:
+			if plansSideEffects(x.Sub) {
+				return true
+			}
+		case *UnionStep:
+			for _, b := range x.Branches {
+				if plansSideEffects(b) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // plansPaths reports whether any step (recursively) needs path tracking.
 func plansPaths(steps []Step) bool {
 	for _, s := range steps {
@@ -238,7 +244,7 @@ func plansPaths(steps []Step) bool {
 }
 
 // derive creates a child traverser from a parent with a new object. The
-// slot comes from the chunk-private bump allocator; the path extension is
+// slot comes from the query's bump allocator; the path extension is
 // one exact-size copy (the old double append re-copied the parent path into
 // a growth-sized backing first).
 func (ctx *execCtx) derive(parent *Traverser, obj any) *Traverser {
@@ -278,12 +284,12 @@ func runSteps(ctx *execCtx, steps []Step, frame []*Traverser) ([]*Traverser, err
 		}
 		if ctx.prof != nil {
 			st := ctx.prof.get(s)
-			st.calls.Add(1)
-			st.in.Add(int64(len(frame)))
+			st.calls++
+			st.in += int64(len(frame))
 			begin := time.Now()
 			frame, err = runStep(ctx, s, frame, i == 0)
-			st.durNS.Add(int64(time.Since(begin)))
-			st.out.Add(int64(len(frame)))
+			st.dur += time.Since(begin)
+			st.out += int64(len(frame))
 		} else {
 			frame, err = runStep(ctx, s, frame, i == 0)
 		}
@@ -441,27 +447,17 @@ func runStep(ctx *execCtx, s Step, in []*Traverser, isFirst bool) ([]*Traverser,
 		}
 		return out, nil
 	case *UnionStep:
-		sctx := ctx
-		for _, b := range x.Branches {
-			if plansSideEffects(b) {
-				sctx = ctx.serial()
-				break
+		var out []*Traverser
+		for _, tr := range in {
+			for _, branch := range x.Branches {
+				res, err := runSteps(ctx, branch, []*Traverser{ctx.cloneForSub(tr)})
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res...)
 			}
 		}
-		nchunks := sctx.chunkable(len(in), subChunkMin)
-		return sctx.mapChunks(len(in), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
-			var out []*Traverser
-			for _, tr := range in[lo:hi] {
-				for _, branch := range x.Branches {
-					res, err := runSteps(c, branch, []*Traverser{c.cloneForSub(tr)})
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, res...)
-				}
-			}
-			return out, nil
-		})
+		return out, nil
 	case *PathStep:
 		out := make([]*Traverser, 0, len(in))
 		for _, tr := range in {
@@ -645,6 +641,20 @@ func runRepeatStep(ctx *execCtx, x *RepeatStep, in []*Traverser) ([]*Traverser, 
 	}
 }
 
+// runSubFilter evaluates a filter sub-traversal for every input traverser,
+// returning one verdict per traverser in input order.
+func runSubFilter(ctx *execCtx, sub []Step, in []*Traverser) ([]bool, error) {
+	keep := make([]bool, len(in))
+	for i, tr := range in {
+		res, err := runSteps(ctx, sub, []*Traverser{ctx.cloneForSub(tr)})
+		if err != nil {
+			return nil, err
+		}
+		keep[i] = len(res) > 0
+	}
+	return keep, nil
+}
+
 // cloneForSub seeds a sub-traversal from a traverser.
 func (ctx *execCtx) cloneForSub(tr *Traverser) *Traverser {
 	t := ctx.alloc.get()
@@ -779,23 +789,11 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 		return []*Traverser{{Obj: v}}, nil
 	}
 
-	// Fan out over the unique source vertices in contiguous chunks (see
-	// parallel.go). Emission is vertex-major: each source vertex, in
-	// first-appearance order, contributes its incident edges in the
-	// backend's per-vertex adjacency order, attributed to that vertex's
-	// traversers in input order. That order is invariant under chunking
-	// for out()/in() — an edge has exactly one source (resp. destination)
-	// vertex, so it belongs to exactly one chunk. both() runs as a single
-	// chunk: VertexEdges dedups edges per call, so an edge joining
-	// vertices of two chunks would surface in both calls with a relative
-	// order that depends on the split.
-	nchunks := 1
-	if x.Dir != graph.DirBoth {
-		nchunks = ctx.chunkable(len(vids), vertexChunkMin)
-	}
-	return ctx.mapChunks(len(vids), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
-		return vertexFanout(c, x, vids[lo:hi], parents[lo:hi])
-	})
+	// Emission is vertex-major: each source vertex, in first-appearance
+	// order, contributes its incident edges in the backend's per-vertex
+	// adjacency order, attributed to that vertex's traversers in input
+	// order.
+	return vertexFanout(ctx, x, vids, parents)
 }
 
 // pushVertexAgg answers a fused VertexStep aggregate with AggVertexEdges
@@ -875,9 +873,9 @@ type edgeHit struct {
 	fromV  string
 }
 
-// vertexFanout materializes one chunk of a VertexStep: it fetches the
-// incident edges of the chunk's vertices in ONE batched backend call, groups
-// them per vertex, and emits traversers (edges for outE/inE/bothE, resolved
+// vertexFanout materializes a VertexStep: it fetches the incident edges of
+// the frontier's unique vertices in ONE batched backend call, groups them per
+// vertex, and emits traversers (edges for outE/inE/bothE, resolved
 // far endpoints for out/in/both) in vertex-major order.
 func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents []travGroup) ([]*Traverser, error) {
 	// groups[i] holds the edges attributed to vids[i], preserving the
@@ -896,8 +894,9 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents []travGrou
 			return nil, err
 		}
 	} else {
-		// both() keeps the flat fetch: its cross-vertex dedup is defined by
-		// one call over the whole (single-chunk) set.
+		// both() keeps the flat fetch: VertexEdges returns an edge joining
+		// two frontier vertices once, and the regroup below attributes it
+		// to both ends.
 		edges, err := ctx.backend.VertexEdges(ctx.goctx, vids, x.Dir, x.Query)
 		if err != nil {
 			return nil, err
@@ -1043,49 +1042,53 @@ func runEdgeVertexStep(ctx *execCtx, x *EdgeVertexStep, in []*Traverser) ([]*Tra
 			}
 		}
 	}
-	// Resolve in contiguous chunks of the wants list (see parallel.go).
-	// EdgeVertices is positional — one result slot per requested edge — so
-	// chunking cannot change what resolves; emission is in wants order
-	// (input-traverser order, outV before inV for bothV), identical for
-	// serial and parallel runs.
-	nchunks := ctx.chunkable(len(wants), vertexChunkMin)
-	return ctx.mapChunks(len(wants), nchunks, func(c *execCtx, lo, hi int) ([]*Traverser, error) {
-		sub := wants[lo:hi]
-		c.observeBatch(len(sub))
-		resolved := make([]*graph.Element, len(sub))
-		for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
-			var batch []*graph.Element
-			var idx []int
-			for i, w := range sub {
-				if w.dir == dir {
-					el, _ := w.tr.element()
-					batch = append(batch, el)
-					idx = append(idx, i)
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			vs, err := c.backend.EdgeVertices(c.goctx, batch, dir, q)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkEdgeVertices(c.backend, vs, batch); err != nil {
-				return nil, err
-			}
-			for j, v := range vs {
-				resolved[idx[j]] = v
+	// EdgeVertices is positional (one result slot per requested edge), so
+	// emission is in wants order: input-traverser order, outV before inV
+	// for bothV.
+	ctx.observeBatch(len(wants))
+	resolved := make([]*graph.Element, len(wants))
+	for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
+		var batch []*graph.Element
+		var idx []int
+		for i, w := range wants {
+			if w.dir == dir {
+				el, _ := w.tr.element()
+				batch = append(batch, el)
+				idx = append(idx, i)
 			}
 		}
-		out := make([]*Traverser, 0, len(sub))
-		for i, w := range sub {
-			if resolved[i] == nil {
-				continue // filtered by q
-			}
-			out = append(out, c.derive(w.tr, resolved[i]))
+		if len(batch) == 0 {
+			continue
 		}
-		return out, nil
-	})
+		vs, err := ctx.backend.EdgeVertices(ctx.goctx, batch, dir, q)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkEdgeVertices(ctx.backend, vs, batch); err != nil {
+			return nil, err
+		}
+		for j, v := range vs {
+			resolved[idx[j]] = v
+		}
+	}
+	out := make([]*Traverser, 0, len(wants))
+	for i, w := range wants {
+		if resolved[i] == nil {
+			continue // filtered by q
+		}
+		out = append(out, ctx.derive(w.tr, resolved[i]))
+	}
+	return out, nil
+}
+
+// checkEdgeVertices validates the positional contract of
+// Backend.EdgeVertices for DirOut/DirIn resolution.
+func checkEdgeVertices(b graph.Backend, vs, batch []*graph.Element) error {
+	if len(vs) != len(batch) {
+		return fmt.Errorf("gremlin: backend %s returned %d vertices for %d edges",
+			b.Name(), len(vs), len(batch))
+	}
+	return nil
 }
 
 func runHasStep(x *HasStep, in []*Traverser) ([]*Traverser, error) {

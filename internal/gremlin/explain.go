@@ -18,7 +18,7 @@ type ExplainNode struct {
 	// unknown (no statistics, or an unestimatable step).
 	EstRows float64 `json:"est_rows"`
 	// ActualRows / Calls are the measured traverser output count and
-	// invocation count (invocation-summed, parallelism-independent).
+	// invocation count, summed over every invocation.
 	ActualRows int64 `json:"actual_rows"`
 	Calls      int64 `json:"calls"`
 	// Notes records how the step reaches its rows (id lookup or full scan).
@@ -29,9 +29,8 @@ type ExplainNode struct {
 // plan tree with estimated vs actual rows per step and the statistics
 // context the plan was costed under.
 type ExplainReport struct {
-	Backend     string `json:"backend"`
-	Plan        string `json:"plan"`
-	Parallelism int    `json:"parallelism,omitempty"`
+	Backend string `json:"backend"`
+	Plan    string `json:"plan"`
 	// Costed reports whether statistics were available: false means the
 	// plan is exactly what the static rule-based strategies produced.
 	Costed bool `json:"costed"`
@@ -50,11 +49,10 @@ type ExplainReport struct {
 // be nil (ExecuteCtx always instruments explain runs).
 func buildExplain(src *Source, steps []Step, prof *profiler, total time.Duration, results int) *ExplainReport {
 	r := &ExplainReport{
-		Backend:     src.Backend.Name(),
-		Plan:        PlanString(steps),
-		Parallelism: src.Parallelism,
-		Results:     results,
-		Total:       total,
+		Backend: src.Backend.Name(),
+		Plan:    PlanString(steps),
+		Results: results,
+		Total:   total,
 	}
 	if src.Stats != nil && src.Stats.Current() != nil {
 		r.Costed = true
@@ -72,12 +70,9 @@ func explainWalk(steps []Step, depth int, prof *profiler, r *ExplainReport) {
 			node.EstRows = est.Rows
 			node.Notes = est.Notes
 		}
-		prof.mu.Lock()
-		st := prof.stats[s]
-		prof.mu.Unlock()
-		if st != nil {
-			node.ActualRows = st.out.Load()
-			node.Calls = st.calls.Load()
+		if st := prof.stats[s]; st != nil {
+			node.ActualRows = st.out
+			node.Calls = st.calls
 		}
 		r.Nodes = append(r.Nodes, node)
 		switch x := s.(type) {

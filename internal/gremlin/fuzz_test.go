@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzParseGremlin drives arbitrary input through the Gremlin lexer,
-// parser, and — when a statement parses — the (parallel) traversal engine
+// parser, and — when a statement parses — the traversal engine
 // over a small graph with a tight budget. The engine converts its own
 // panics to *PanicError, so the target re-raises those as fuzz failures;
 // everything else may error freely but must not crash or hang.
@@ -45,7 +45,6 @@ func FuzzParseGremlin(f *testing.F) {
 		}
 	}
 	src := NewSource(m).
-		WithParallelism(2).
 		WithLimits(graph.Limits{MaxTraversers: 1 << 12, MaxRepeatIters: 8, MaxResults: 1 << 12})
 	env := map[string]any{"x": "p1", "ids": []string{"p1", "d10"}}
 	f.Fuzz(func(t *testing.T, script string) {
@@ -100,11 +99,11 @@ func FuzzPreparedBinding(f *testing.F) {
 	if _, err := sp.Analyze(context.Background()); err != nil {
 		f.Fatal(err)
 	}
-	plain := NewSource(m).WithParallelism(2).WithLimits(limits)
+	plain := NewSource(m).WithLimits(limits)
 	f.Fuzz(func(t *testing.T, script string) {
 		// Fresh cache per input so "warm" is exactly the second run of this
 		// script, not leakage from an earlier input.
-		prepared := NewSource(m).WithParallelism(2).WithLimits(limits).
+		prepared := NewSource(m).WithLimits(limits).
 			WithStats(sp).WithPlanCache(NewPlanCache(0))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()

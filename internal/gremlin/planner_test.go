@@ -143,9 +143,9 @@ func render(objs []any) string {
 
 // TestPlannerRandomDifferential is the property test behind the cost model:
 // 500 random traversals over the skewed graph must return bit-identical
-// results planned (statistics + shape-keyed plan cache + parallel engine)
-// and unplanned (static serial). Each script runs twice planned, so the
-// second execution covers the prepared-plan rebinding path.
+// results planned (statistics + shape-keyed plan cache) and unplanned.
+// Each script runs twice planned, so the second execution covers the
+// prepared-plan rebinding path.
 func TestPlannerRandomDifferential(t *testing.T) {
 	m := skewGraph(t)
 	sp := graph.NewStatsProvider(m)
@@ -153,7 +153,7 @@ func TestPlannerRandomDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := NewSource(m)
-	planned := NewSource(m).WithParallelism(8).WithPlanCache(NewPlanCache(0)).WithStats(sp)
+	planned := NewSource(m).WithPlanCache(NewPlanCache(0)).WithStats(sp)
 
 	r := rand.New(rand.NewSource(20260808))
 	for i := 0; i < 500; i++ {

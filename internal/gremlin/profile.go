@@ -1,36 +1,26 @@
 package gremlin
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"db2graph/internal/telemetry"
 )
 
 // stepStats accumulates the cost of one step over a query. Repeat bodies and
-// sub-traversals run the same step many times — possibly from several worker
-// goroutines when sub-traversal loops execute in parallel chunks — so the
-// counters are atomics that sum over every invocation. Sums are
-// order-independent: in/out/calls are identical whatever the parallelism,
-// which is what lets the differential suite compare profile() reports across
-// parallelism levels. dur aggregates per-invocation wall time; under
-// parallel execution the nested steps of concurrent sub-traversals overlap,
-// so their summed durations can exceed the parent step's wall time.
+// sub-traversals run the same step many times, so the counters sum over
+// every invocation; a nested step's summed duration is part of its parent
+// step's.
 type stepStats struct {
-	in, out, calls atomic.Int64
-	durNS          atomic.Int64
+	in, out, calls int64
+	dur            time.Duration
 }
 
 // profiler records per-step costs for a single traversal execution. It is
 // keyed by step pointer identity: ExecuteCtx clones the plan per run, so
-// every executed step is a unique pointer. The map is guarded by a mutex
-// because parallel sub-traversal chunks profile concurrently; the lock is
-// per step invocation, not per traverser. A nil profiler disables
-// instrumentation with a single branch in runSteps — there is no
-// per-traverser cost.
+// every executed step is a unique pointer. A query runs on one goroutine,
+// so the profiler needs no locking. A nil profiler disables instrumentation
+// with a single branch in runSteps — there is no per-traverser cost.
 type profiler struct {
-	mu    sync.Mutex
 	stats map[Step]*stepStats
 }
 
@@ -39,13 +29,11 @@ func newProfiler() *profiler {
 }
 
 func (p *profiler) get(s Step) *stepStats {
-	p.mu.Lock()
 	st := p.stats[s]
 	if st == nil {
 		st = &stepStats{}
 		p.stats[s] = st
 	}
-	p.mu.Unlock()
 	return st
 }
 
@@ -61,19 +49,17 @@ func (p *profiler) report(steps []Step, total time.Duration) *telemetry.Profile 
 
 func (p *profiler) walk(steps []Step, depth int, pr *telemetry.Profile) {
 	for _, s := range steps {
-		p.mu.Lock()
 		st := p.stats[s]
-		p.mu.Unlock()
 		if st == nil {
 			continue // never executed (e.g. an until() that never ran)
 		}
 		pr.Steps = append(pr.Steps, telemetry.StepProfile{
 			Name:  describeStep(s),
 			Depth: depth,
-			In:    st.in.Load(),
-			Out:   st.out.Load(),
-			Calls: st.calls.Load(),
-			Dur:   time.Duration(st.durNS.Load()),
+			In:    st.in,
+			Out:   st.out,
+			Calls: st.calls,
+			Dur:   st.dur,
 		})
 		switch x := s.(type) {
 		case *RepeatStep:

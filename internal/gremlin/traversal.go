@@ -21,17 +21,6 @@ type Source struct {
 	// The zero value selects graph.DefaultLimits(); negative fields disable
 	// individual bounds.
 	Limits graph.Limits
-	// Parallelism is the maximum number of goroutines one query execution
-	// may use for step-level parallel execution: 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces the serial engine. Parallel and
-	// serial runs produce identical results (see DESIGN.md §9); the
-	// backend must support concurrent reads, which all in-tree backends
-	// do.
-	Parallelism int
-	// WorkerGauge, when non-nil, tracks the number of borrowed parallel
-	// workers across queries (wired to gremlin_parallel_workers by the
-	// server).
-	WorkerGauge *telemetry.Gauge
 	// PlanCache, when non-nil, lets RunScriptCtx reuse compiled plans for
 	// repeated script texts (see PlanCache for the keying and the
 	// cacheability rules). Safe to share across sources and goroutines.
@@ -62,14 +51,6 @@ func (s *Source) WithoutStrategies() *Source {
 func (s *Source) WithLimits(l graph.Limits) *Source {
 	cp := *s
 	cp.Limits = l
-	return &cp
-}
-
-// WithParallelism returns a copy of the source whose queries may use up to
-// n goroutines per execution (0 = GOMAXPROCS, 1 = serial).
-func (s *Source) WithParallelism(n int) *Source {
-	cp := *s
-	cp.Parallelism = n
 	return &cp
 }
 

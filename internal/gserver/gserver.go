@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -300,15 +299,11 @@ func NewWithConfig(src *gremlin.Source, cfg Config) *Server {
 	s.active = s.reg.Gauge("gserver_active_queries")
 	s.latency = s.reg.Histogram("gserver_request_seconds")
 	s.slowCount = s.reg.Counter("gserver_slow_queries_total")
-	// Parallel-execution telemetry: clone the source so wiring the worker
-	// gauge does not mutate the caller's Source, then expose the number of
-	// borrowed step-level workers across all in-flight queries plus the
-	// configured per-query parallelism level.
-	wsrc := *src
-	wsrc.WorkerGauge = s.reg.Gauge("gremlin_parallel_workers")
 	// Cached, vectorized read path: the server owns a compiled-plan cache
 	// unless the caller already supplied one, and wires the batch-size
-	// histogram so expansion batch sizes surface through !metrics.
+	// histogram so expansion batch sizes surface through !metrics. The
+	// source is cloned so the wiring never mutates the caller's Source.
+	wsrc := *src
 	if wsrc.PlanCache == nil {
 		wsrc.PlanCache = gremlin.NewPlanCache(0)
 	}
@@ -317,11 +312,6 @@ func NewWithConfig(src *gremlin.Source, cfg Config) *Server {
 	}
 	s.src = &wsrc
 	s.batch = graph.Batched(wsrc.Backend)
-	par := wsrc.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	s.reg.Gauge("gremlin_parallelism").Set(int64(par))
 	if cfg.SlowQueryThreshold > 0 {
 		w := cfg.SlowQueryLog
 		if w == nil {

@@ -232,7 +232,7 @@ func TestCacheMetricsAndFlush(t *testing.T) {
 	if m[`cache_entries{cache="plan"}`] < 1 {
 		t.Fatalf("plan cache empty after queries: %v", m)
 	}
-	// Batched expansion observed its chunk sizes.
+	// Batched expansion observed its batch sizes.
 	if m[`gremlin_batch_size_count`] < 1 {
 		t.Fatalf("gremlin_batch_size_count = %v, want >= 1", m[`gremlin_batch_size_count`])
 	}

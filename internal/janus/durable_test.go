@@ -56,7 +56,7 @@ func TestDurableConformance(t *testing.T) {
 	})
 }
 
-// TestDurableConcurrent runs the serial-vs-parallel differential suite on a
+// TestDurableConcurrent runs the concurrency conformance suite on a
 // recovered durable backend.
 func TestDurableConcurrent(t *testing.T) {
 	n := 0

@@ -545,8 +545,7 @@ func (g *Graph) getAdj(vid string) (*adjSnapshot, error) {
 
 // getAdjMany resolves many adjacency snapshots, aligned with vids: cache
 // hits first, then one sorted multi-get for the misses — the batched
-// expansion path the gremlin engine drives with one call per traverser
-// chunk.
+// expansion path the gremlin engine drives with one call per hop.
 func (g *Graph) getAdjMany(vids []string) ([]*adjSnapshot, error) {
 	version := g.version.Load()
 	out := make([]*adjSnapshot, len(vids))

@@ -93,8 +93,8 @@ func TestLSMCacheInvalidation(t *testing.T) {
 	})
 }
 
-// TestLSMConcurrent runs the serial-vs-parallel differential suite on
-// recovered janus-on-LSM state.
+// TestLSMConcurrent runs the concurrency conformance suite on recovered
+// janus-on-LSM state.
 func TestLSMConcurrent(t *testing.T) {
 	n := 3000
 	graphtest.RunConcurrent(t, func(vs, es []*graph.Element) (graph.Backend, error) {

@@ -136,19 +136,19 @@ func (db *Database) execContext(ctx context.Context, params exec.Params) *exec.C
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &exec.Context{
-		Ctx:    ctx,
-		Params: params,
-		RunTableFunc: func(name string, args []types.Value, out []exec.Column) ([][]types.Value, error) {
-			db.tfMu.RLock()
-			fn := db.tfuncs[strings.ToLower(name)]
-			db.tfMu.RUnlock()
-			if fn == nil {
-				return nil, fmt.Errorf("sql: unknown table function %q", name)
-			}
-			return fn(ctx, args, out)
-		},
+	return &exec.Context{Ctx: ctx, Params: params, TableFuncs: db}
+}
+
+// RunTableFunc implements exec.TableFuncHost: it runs the table function
+// registered under name with the statement context ctx.
+func (db *Database) RunTableFunc(ctx context.Context, name string, args []types.Value, out []exec.Column) ([][]types.Value, error) {
+	db.tfMu.RLock()
+	fn := db.tfuncs[strings.ToLower(name)]
+	db.tfMu.RUnlock()
+	if fn == nil {
+		return nil, fmt.Errorf("sql: unknown table function %q", name)
 	}
+	return fn(ctx, args, out)
 }
 
 // --- Results ---
