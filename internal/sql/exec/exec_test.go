@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -353,18 +354,25 @@ func TestSortDistinctLimitCut(t *testing.T) {
 	}
 }
 
+// tableFuncHost adapts a function to TableFuncHost.
+type tableFuncHost func(name string, args []types.Value, out []Column) ([][]types.Value, error)
+
+func (h tableFuncHost) RunTableFunc(_ context.Context, name string, args []types.Value, out []Column) ([][]types.Value, error) {
+	return h(name, args, out)
+}
+
 func TestTableFuncNode(t *testing.T) {
 	tf := &TableFuncNode{
 		Name: "fn",
 		Args: []ExprFn{lit(types.NewString("x"))},
 		Cols: []Column{{Name: "a"}},
 	}
-	ctx := &Context{RunTableFunc: func(name string, args []types.Value, out []Column) ([][]types.Value, error) {
+	ctx := &Context{TableFuncs: tableFuncHost(func(name string, args []types.Value, out []Column) ([][]types.Value, error) {
 		if name != "fn" || args[0].Text() != "x" {
 			return nil, fmt.Errorf("bad invocation")
 		}
 		return [][]types.Value{{types.NewInt(1)}, {types.NewInt(2)}}, nil
-	}}
+	})}
 	rows := runAll(t, tf, ctx)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
