@@ -604,7 +604,9 @@ func (c *Coordinator) EdgeVertices(ctx context.Context, edges []*graph.Element, 
 //   - ghost vertices are never asked, since ids route to owners only, so a
 //     dual-homed edge is counted only by the owner of the endpoint it is
 //     counted from;
-//   - a repeated id routes to one shard, whose own dedup handles it.
+//   - a repeated id routes to its one owner every time, and the owner's
+//     backend counts it once per occurrence, as AggVertexEdges' multiset
+//     contract asks; the CountVertexEdges frame carries the repeats.
 //
 // both() is exact only when every id routes to one shard: an edge joining
 // ids owned by two shards would be counted on both. A both() count whose
@@ -659,7 +661,7 @@ func (c *Coordinator) AggVertexEdges(ctx context.Context, vids []string, dir gra
 	if err != nil {
 		return types.Null, err
 	}
-	return graph.AggregateElements(els, agg)
+	return graph.AggregateVertexEdges(els, vids, dir, agg)
 }
 
 // countVertexEdges adds up the owner shards' incident-edge counts. A shard

@@ -1182,7 +1182,9 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 // SELECT COUNT(*) FROM EdgeTable WHERE src_v IN (...) AND ... in one round
 // trip per eligible table. An unrestricted count first takes every vertex
 // whose adjacency group is cached (countFromCache) and sends only the
-// rest to SQL.
+// rest to SQL. SQL IN sees a repeated id once, so the ids go in layers:
+// every distinct id, then those occurring at least twice, and so on; the
+// layers' counts and sums add up, and min and max need only the first.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	if err := graph.Interrupted(ctx); err != nil {
 		return types.Null, err
@@ -1195,36 +1197,73 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 		return types.Null, fmt.Errorf("db2graph: unsupported aggregate %v", agg.Kind)
 	}
 	comb := newAggCombiner(agg)
-	all := vids
+	ids, occ := distinctIDs(vids)
 	if agg.Kind == graph.AggCount && agg.Key == "" {
-		vids, comb.count = g.countFromCache(vids, dir, q)
-		if len(vids) == 0 {
-			return comb.result(), nil
-		}
+		ids, occ, comb.count = g.countFromCache(ids, occ, dir, q)
 	}
-	ends, ids := &idMemo{ids: vids}, &idMemo{ids: q.IDs}
-	for _, em := range g.eligibleEdgeMappings(q) {
-		if agg.Key != "" && !em.HasProperty(agg.Key) {
-			continue
-		}
-		p, sql, params := g.edgeFetch(em, q, ends, ids, dir, sel)
-		if p == nil {
-			continue
-		}
-		if !p.b.fullyPushed || dir == graph.DirBoth {
-			// DirBoth can double-count self-referencing rows in SQL; use the
-			// materialized path for full fidelity.
-			els, err := g.VertexEdges(ctx, all, dir, q)
-			if err != nil {
+	if agg.Kind == graph.AggMin || agg.Kind == graph.AggMax {
+		occ = nil
+	}
+	edgeIDs := &idMemo{ids: q.IDs}
+	for len(ids) > 0 {
+		ends := &idMemo{ids: ids}
+		for _, em := range g.eligibleEdgeMappings(q) {
+			if agg.Key != "" && !em.HasProperty(agg.Key) {
+				continue
+			}
+			p, sql, params := g.edgeFetch(em, q, ends, edgeIDs, dir, sel)
+			if p == nil {
+				continue
+			}
+			if !p.b.fullyPushed || dir == graph.DirBoth {
+				// DirBoth can double-count self-referencing rows in SQL; use the
+				// materialized path for full fidelity.
+				els, err := g.VertexEdges(ctx, vids, dir, q)
+				if err != nil {
+					return types.Null, err
+				}
+				return graph.AggregateVertexEdges(els, vids, dir, agg)
+			}
+			if err := g.runAggSQL(ctx, sql, em.Table, p.b.eqCols, params, comb); err != nil {
 				return types.Null, err
 			}
-			return graph.AggregateElements(els, agg)
 		}
-		if err := g.runAggSQL(ctx, sql, em.Table, p.b.eqCols, params, comb); err != nil {
-			return types.Null, err
-		}
+		ids, occ = nextLayer(ids, occ)
 	}
 	return comb.result(), nil
+}
+
+// distinctIDs returns the distinct ids of vids in first-appearance order
+// and, when some repeat, how often each occurs (occ is nil otherwise, and
+// ids is vids).
+func distinctIDs(vids []string) (ids []string, occ []int) {
+	rep := repeatedIDs(vids)
+	if rep == nil {
+		return vids, nil
+	}
+	ids = make([]string, 0, len(rep))
+	occ = make([]int, 0, len(rep))
+	for _, id := range vids {
+		if n := rep[id]; n > 0 {
+			ids = append(ids, id)
+			occ = append(occ, n)
+			rep[id] = 0
+		}
+	}
+	return ids, occ
+}
+
+// nextLayer keeps, in place, the ids that occur once more than the layer
+// just counted, each with one occurrence fewer; nil occ has one layer.
+func nextLayer(ids []string, occ []int) ([]string, []int) {
+	k := 0
+	for i := range occ {
+		if occ[i] > 1 {
+			ids[k], occ[k] = ids[i], occ[i]-1
+			k++
+		}
+	}
+	return ids[:k], occ[:k]
 }
 
 var _ graph.Backend = (*Graph)(nil)

@@ -216,40 +216,38 @@ func (g *Graph) EdgesForVertices(ctx context.Context, vids []string, dir graph.D
 	return out, nil
 }
 
-// countFromCache serves a count from the adjacency cache: it returns
-// the total size of the groups cached for vids at the current data
-// version, and the vertices whose groups are not cached, which the caller
-// counts in SQL. A group equals the vertex's VertexEdges result, so its
-// length is the vertex's share of the count. Each distinct vertex counts
-// once, as the SQL IN list does. Only a count the cached groups answer
+// countFromCache serves a count from the adjacency cache: given the
+// distinct ids and their occurrences (distinctIDs; nil occ is once each),
+// it returns the ids whose groups are not cached, with their occurrences,
+// which the caller counts in SQL, and the total size of the groups cached
+// at the current data version, each once per occurrence of its vertex. A
+// group equals the vertex's VertexEdges result, so its length is the
+// vertex's share of the count. Only a count the cached groups answer
 // qualifies — unrestricted (cacheableQuery), without ids, on one direction
-// (both() can meet a self-loop twice); any other query gets all of vids
-// back.
-func (g *Graph) countFromCache(vids []string, dir graph.Direction, q *graph.Query) ([]string, int64) {
-	if dir == graph.DirBoth || !g.cacheableQuery(q) || (q != nil && len(q.IDs) > 0) {
-		return vids, 0
+// (both() can meet a self-loop twice); any other query gets every id back.
+func (g *Graph) countFromCache(ids []string, occ []int, dir graph.Direction, q *graph.Query) ([]string, []int, int64) {
+	if dir == graph.DirBoth || !g.cacheableQuery(q) || len(q.IDs) > 0 {
+		return ids, occ, 0
 	}
 	version := g.DataVersion()
-	var seen map[string]bool
-	if len(vids) > 1 {
-		seen = make(map[string]bool, len(vids))
-	}
 	var n int64
-	misses := vids[:0:0]
-	for _, vid := range vids {
-		if seen != nil {
-			if seen[vid] {
-				continue
-			}
-			seen[vid] = true
+	misses := ids[:0:0]
+	var missOcc []int
+	for i, vid := range ids {
+		m := 1
+		if occ != nil {
+			m = occ[i]
 		}
 		if group, ok := g.adjCache.Get(adjKey(vid, dir), version); ok {
-			n += int64(len(group))
+			n += int64(m * len(group))
 			continue
 		}
 		misses = append(misses, vid)
+		if occ != nil {
+			missOcc = append(missOcc, m)
+		}
 	}
-	return misses, n
+	return misses, missOcc, n
 }
 
 var (

@@ -67,8 +67,9 @@ func warmAdjacency(t *testing.T, g *Graph, vids []string, dir graph.Direction) {
 }
 
 // TestCountFromCachedAdjacencyMixedFrontier counts a frontier whose
-// adjacency groups are half cached: the cached half is read from memory,
-// the rest from SQL, and the sum equals the materialized count — through
+// adjacency groups are half cached and whose ids repeat: the cached half
+// is read from memory, once per occurrence, the rest from SQL in layers,
+// and the sum equals the materialized count of every occurrence — through
 // the backend and through a traversal whose count is pushed down.
 func TestCountFromCachedAdjacencyMixedFrontier(t *testing.T) {
 	_, g := newLinkGraph(t, 300)
@@ -80,10 +81,14 @@ func TestCountFromCachedAdjacencyMixedFrontier(t *testing.T) {
 	for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
 		warmAdjacency(t, g, warm, dir)
 		hits := g.adjCache.Stats().Hits
-		// A repeated id counts once, as in the SQL IN list.
-		frontier := append(append([]string{}, vids...), vids[0], vids[1])
+		// A repeated id counts once per occurrence: the warm vids[0] from
+		// its cached group, the cold vids[1] in a second SQL layer, and
+		// vids[1] again in a third.
+		frontier := append(append([]string{}, vids...), vids[0], vids[1], vids[1])
 		got := pushedCount(t, g, frontier, dir, nil)
-		if want := materializedCount(t, g, vids, dir, nil); got != want || want == 0 {
+		want := materializedCount(t, g, vids, dir, nil) +
+			materializedCount(t, g, vids[:1], dir, nil) + 2*materializedCount(t, g, vids[1:2], dir, nil)
+		if got != want || want == 0 {
 			t.Fatalf("dir %v: count %d, materialized %d", dir, got, want)
 		}
 		if served := g.adjCache.Stats().Hits - hits; served != int64(len(warm)) {

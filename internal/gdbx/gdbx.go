@@ -816,13 +816,13 @@ func (g *Graph) AggE(ctx context.Context, q *graph.Query, agg graph.Agg) (types.
 
 // AggVertexEdges implements graph.Backend by materialization: it fetches
 // the incident edges with VertexEdges and aggregates them with
-// graph.AggregateElements.
+// graph.AggregateVertexEdges.
 func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Direction, q *graph.Query, agg graph.Agg) (types.Value, error) {
 	els, err := g.VertexEdges(ctx, vids, dir, q)
 	if err != nil {
 		return types.Null, err
 	}
-	return graph.AggregateElements(els, agg)
+	return graph.AggregateVertexEdges(els, vids, dir, agg)
 }
 
 var (

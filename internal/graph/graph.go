@@ -356,10 +356,16 @@ type Backend interface {
 	// AggE computes an aggregate over the edges matching q.
 	AggE(ctx context.Context, q *Query, agg Agg) (types.Value, error)
 	// AggVertexEdges computes an aggregate over the incident edges of the
-	// given vertices. The engine answers out()/in().count() with it,
-	// counting edges for reached vertices, which assumes every edge
-	// endpoint resolves to a vertex; an edge whose endpoint is missing is
-	// still counted.
+	// given vertices, a multiset: the engine sends a frontier vertex once
+	// per traverser on it, and an edge counts once per occurrence of its
+	// frontier endpoint (out(): its source; in(): its destination; both():
+	// the more frequent of its two ends, so a distinct id list still
+	// counts an edge joining two of its vertices once). Repeats weight
+	// sum and mean alike and leave min and max unchanged. The engine
+	// answers out()/in().count() with it, counting edges for reached
+	// vertices, which assumes every edge endpoint resolves to a vertex;
+	// an edge whose endpoint is missing is still counted.
+	// AggregateVertexEdges is the materialized answer.
 	AggVertexEdges(ctx context.Context, vids []string, dir Direction, q *Query, agg Agg) (types.Value, error)
 }
 
@@ -375,8 +381,48 @@ type Mutable interface {
 // generic fallback used by backends and by the traversal engine when a
 // pushdown is unavailable.
 func AggregateElements(els []*Element, agg Agg) (types.Value, error) {
+	return aggregateWeighted(els, nil, agg)
+}
+
+// AggregateVertexEdges is the materialized AggVertexEdges: it computes agg
+// over edges, the result of VertexEdges for the multiset vids, weighting
+// each edge by the occurrences in vids of its frontier endpoint (the more
+// frequent end for DirBoth). Without repeats it is AggregateElements.
+func AggregateVertexEdges(edges []*Element, vids []string, dir Direction, agg Agg) (types.Value, error) {
+	if len(vids) < 2 {
+		return AggregateElements(edges, agg)
+	}
+	occ := make(map[string]int64, len(vids))
+	for _, id := range vids {
+		occ[id]++
+	}
+	if len(occ) == len(vids) {
+		return AggregateElements(edges, agg)
+	}
+	return aggregateWeighted(edges, func(e *Element) int64 {
+		switch dir {
+		case DirOut:
+			return occ[e.OutV]
+		case DirIn:
+			return occ[e.InV]
+		default:
+			return max(occ[e.OutV], occ[e.InV])
+		}
+	}, agg)
+}
+
+// aggregateWeighted computes agg over els, counting each element weight(e)
+// times (once with a nil weight).
+func aggregateWeighted(els []*Element, weight func(*Element) int64, agg Agg) (types.Value, error) {
 	if agg.Kind == AggCount {
-		return types.NewInt(int64(len(els))), nil
+		if weight == nil {
+			return types.NewInt(int64(len(els))), nil
+		}
+		var n int64
+		for _, e := range els {
+			n += weight(e)
+		}
+		return types.NewInt(n), nil
 	}
 	var (
 		count int64
@@ -394,8 +440,12 @@ func AggregateElements(els []*Element, agg Agg) (types.Value, error) {
 		if !okf && (agg.Kind == AggSum || agg.Kind == AggMean) {
 			return types.Null, fmt.Errorf("graph: cannot %s non-numeric property %q", agg.Kind, agg.Key)
 		}
-		count++
-		sum += f
+		w := int64(1)
+		if weight != nil {
+			w = weight(e)
+		}
+		count += w
+		sum += f * float64(w)
 		if first || types.Compare(v, min) < 0 {
 			min = v
 		}

@@ -9,7 +9,9 @@
 //     Pushed counts, which the coordinator answers with per-owner shard
 //     counts, are also checked against the raw backend's unoptimized plan
 //     (graphtest.CheckDupFrontierCounts), its own AggVertexEdges and a
-//     plain count over the dataset (graphtest.CheckAggCounts). Scripts
+//     plain count over the dataset (graphtest.CheckAggCounts); a
+//     duplicated middle frontier costs one CountVertexEdges per owner
+//     shard (checkDupFrontierRequests). Scripts
 //     that read properties after hops, whose replies carry only the
 //     projected properties, are checked against the unoptimized plan
 //     (graphtest.CheckLiveness).
@@ -51,7 +53,7 @@ import (
 // scripts: the sharded coordinator is held to the exact same scripts as the
 // cached/vectorized read paths, and its shard-side counts to the
 // single-node count.
-var battery = append(graphtest.DifferentialScripts(), graphtest.PushedCountScripts()...)
+var battery = append(graphtest.DifferentialScripts(), graphtest.PushedAggScripts()...)
 
 // clusterHarness is one live sharded deployment: N backends behind N
 // gservers, each wrapped in a chaos listener, fronted by one coordinator.
@@ -197,6 +199,38 @@ func checkEdgeCounts(t *testing.T, coord *cluster.Coordinator, raw graph.Backend
 	}
 }
 
+// instrumented wraps build so that every shard's backend records its calls
+// in reg.
+func instrumented(build func(vertices, edges []*graph.Element) (graph.Backend, error),
+	reg *telemetry.Registry) func(vertices, edges []*graph.Element) (graph.Backend, error) {
+	return func(vertices, edges []*graph.Element) (graph.Backend, error) {
+		b, err := build(vertices, edges)
+		if err != nil {
+			return nil, err
+		}
+		return graph.Instrument(b, reg), nil
+	}
+}
+
+// checkDupFrontierRequests holds the coordinator to three backend calls for
+// graphtest.DupMiddleCountScript, whose middle frontier repeats d11 and
+// not d10, and its count hop to one CountVertexEdges per shard owning a
+// middle vertex: the shards' backends, instrumented into shardReg under
+// name, see one AggVertexEdges each.
+func checkDupFrontierRequests(t *testing.T, coord *cluster.Coordinator, shardReg *telemetry.Registry, name string) {
+	t.Helper()
+	before := graphtest.BackendCalls(shardReg, name)["AggVertexEdges"]
+	graphtest.CheckDupFrontierCalls(t, coord)
+	want := int64(1)
+	if coord.ShardOf("d11") != coord.ShardOf("d10") {
+		want = 2
+	}
+	if got := graphtest.BackendCalls(shardReg, name)["AggVertexEdges"] - before; got != want {
+		t.Fatalf("shards=%d %s: shards counted %d times, want one CountVertexEdges per owner shard (%d)",
+			coord.Shards(), graphtest.DupMiddleCountScript, got, want)
+	}
+}
+
 func sortedIDs(els []*graph.Element) string {
 	ids := make([]string, 0, len(els))
 	for _, el := range els {
@@ -274,7 +308,8 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 	// Phase 2: shard-count invariance plus raw parity at N=2 and N=3.
 	for _, n := range []int{2, 3} {
 		t.Run(fmt.Sprintf("identical/shards=%d", n), func(t *testing.T) {
-			h := startCluster(t, build, n, calm(), telemetry.NewRegistry())
+			shardReg := telemetry.NewRegistry()
+			h := startCluster(t, instrumented(build, shardReg), n, calm(), telemetry.NewRegistry())
 			got := h.runBattery(t)
 			for i, script := range battery {
 				if got[i] != golden[i] {
@@ -310,6 +345,7 @@ func RunClusterFaults(t *testing.T, build func(vertices, edges []*graph.Element)
 			// against the raw backend's unoptimized plan and its own counts.
 			graphtest.CheckDupFrontierCounts(t, gremlin.NewSource(rawB).WithoutStrategies(), h.src)
 			checkEdgeCounts(t, h.coord, rawB, rawV, rawE)
+			checkDupFrontierRequests(t, h.coord, shardReg, rawB.Name())
 			// A repeated edge id yields one edge per occurrence, also for an
 			// edge dual-homed on two shards, whose copies collapse first.
 			eid := rawE[0].ID

@@ -22,22 +22,38 @@ import (
 // call, as the Backend ordering contract requires.
 type MemBackend struct {
 	mu       sync.RWMutex
-	vertices map[string]*Element
-	vorder   []string
+	vertices map[string]*memVertex
+	vorder   []*Element
 	edges    map[string]*Element
-	eorder   []string
-	out      map[string][]string // vertex id -> edge ids
-	in       map[string][]string
+	eorder   []*Element
 	version  atomic.Uint64 // bumped after every committed mutation
+}
+
+// memVertex is a stored vertex with its incident edges in insertion order,
+// so an adjacency read costs one map lookup per vertex, not one per edge.
+// mem never deletes, so the edge pointers stay valid.
+type memVertex struct {
+	el      *Element
+	out, in []*Element
+}
+
+// adj returns v's edges in direction dir (DirOut or DirIn); nil for an
+// unknown vertex.
+func (v *memVertex) adj(dir Direction) []*Element {
+	if v == nil {
+		return nil
+	}
+	if dir == DirIn {
+		return v.in
+	}
+	return v.out
 }
 
 // NewMemBackend returns an empty in-memory graph.
 func NewMemBackend() *MemBackend {
 	return &MemBackend{
-		vertices: make(map[string]*Element),
+		vertices: make(map[string]*memVertex),
 		edges:    make(map[string]*Element),
-		out:      make(map[string][]string),
-		in:       make(map[string][]string),
 	}
 }
 
@@ -56,8 +72,8 @@ func (m *MemBackend) AddVertex(el *Element) error {
 	}
 	cp := *el
 	cp.IsEdge = false
-	m.vertices[el.ID] = &cp
-	m.vorder = append(m.vorder, el.ID)
+	m.vertices[el.ID] = &memVertex{el: &cp}
+	m.vorder = append(m.vorder, &cp)
 	m.version.Add(1)
 	return nil
 }
@@ -72,18 +88,20 @@ func (m *MemBackend) AddEdge(el *Element) error {
 	if _, dup := m.edges[el.ID]; dup {
 		return fmt.Errorf("mem: duplicate edge id %q", el.ID)
 	}
-	if _, ok := m.vertices[el.OutV]; !ok {
+	src, ok := m.vertices[el.OutV]
+	if !ok {
 		return fmt.Errorf("mem: edge %q references missing vertex %q", el.ID, el.OutV)
 	}
-	if _, ok := m.vertices[el.InV]; !ok {
+	dst, ok := m.vertices[el.InV]
+	if !ok {
 		return fmt.Errorf("mem: edge %q references missing vertex %q", el.ID, el.InV)
 	}
 	cp := *el
 	cp.IsEdge = true
 	m.edges[el.ID] = &cp
-	m.eorder = append(m.eorder, el.ID)
-	m.out[el.OutV] = append(m.out[el.OutV], el.ID)
-	m.in[el.InV] = append(m.in[el.InV], el.ID)
+	m.eorder = append(m.eorder, &cp)
+	src.out = append(src.out, &cp)
+	dst.in = append(dst.in, &cp)
 	m.version.Add(1)
 	return nil
 }
@@ -92,6 +110,14 @@ func (m *MemBackend) AddEdge(el *Element) error {
 // AddVertex/AddEdge, so version-tagged caches above the backend invalidate
 // on mutation.
 func (m *MemBackend) DataVersion() uint64 { return m.version.Load() }
+
+// vertex returns the stored vertex with the given id, or nil.
+func (m *MemBackend) vertex(id string) *Element {
+	if v := m.vertices[id]; v != nil {
+		return v.el
+	}
+	return nil
+}
 
 // V implements Backend.
 func (m *MemBackend) V(ctx context.Context, q *Query) ([]*Element, error) {
@@ -108,15 +134,15 @@ func (m *MemBackend) V(ctx context.Context, q *Query) ([]*Element, error) {
 	}
 	if q != nil && len(q.IDs) > 0 {
 		for _, id := range q.IDs {
-			appendIf(m.vertices[id])
+			appendIf(m.vertex(id))
 		}
 		return out, nil
 	}
-	for i, id := range m.vorder {
+	for i, el := range m.vorder {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
-		appendIf(m.vertices[id])
+		appendIf(el)
 	}
 	return out, nil
 }
@@ -140,11 +166,11 @@ func (m *MemBackend) E(ctx context.Context, q *Query) ([]*Element, error) {
 		}
 		return out, nil
 	}
-	for i, id := range m.eorder {
+	for i, el := range m.eorder {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
-		appendIf(m.edges[id])
+		appendIf(el)
 	}
 	return out, nil
 }
@@ -158,15 +184,11 @@ func (m *MemBackend) VertexEdges(ctx context.Context, vids []string, dir Directi
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []*Element
-	seen := map[string]bool{}
-	add := func(eids []string) {
-		for _, eid := range eids {
-			if seen[eid] {
-				continue
-			}
-			el := m.edges[eid]
-			if el != nil && q.Matches(el) {
-				seen[eid] = true
+	seen := map[*Element]bool{}
+	add := func(es []*Element) {
+		for _, el := range es {
+			if !seen[el] && q.Matches(el) {
+				seen[el] = true
 				out = append(out, el)
 			}
 		}
@@ -175,11 +197,12 @@ func (m *MemBackend) VertexEdges(ctx context.Context, vids []string, dir Directi
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
+		v := m.vertices[vid]
 		if dir == DirOut || dir == DirBoth {
-			add(m.out[vid])
+			add(v.adj(DirOut))
 		}
 		if dir == DirIn || dir == DirBoth {
-			add(m.in[vid])
+			add(v.adj(DirIn))
 		}
 	}
 	return out, nil
@@ -199,8 +222,7 @@ func (m *MemBackend) EdgeVertices(ctx context.Context, edges []*Element, dir Dir
 		if dir == DirIn {
 			id = e.InV
 		}
-		v := m.vertices[id]
-		if v != nil && q.Matches(v) {
+		if v := m.vertex(id); v != nil && q.Matches(v) {
 			out[i] = v
 		}
 	}
@@ -217,7 +239,7 @@ func (m *MemBackend) VerticesByIDs(ctx context.Context, ids []string, q *Query) 
 	defer m.mu.RUnlock()
 	out := make([]*Element, len(ids))
 	for i, id := range ids {
-		if el := m.vertices[id]; el != nil && q.MatchesFilter(el) {
+		if el := m.vertex(id); el != nil && q.MatchesFilter(el) {
 			out[i] = el
 		}
 	}
@@ -235,52 +257,39 @@ func (m *MemBackend) EdgesForVertices(ctx context.Context, vids []string, dir Di
 	out := make([][]*Element, len(vids))
 	// One backing array serves every group: the per-vertex group is a capped
 	// sub-slice, so a batch of n vertices costs two allocations instead of
-	// one per vertex. An edge id can repeat within one vertex only across
+	// one per vertex. An edge can repeat within one vertex only across
 	// directions (a self-loop sits in both the out and in lists), so the
-	// dedup map is needed — and allocated — only for DirBoth, cleared and
-	// reused per vertex.
+	// in-list skips a self-loop the out-list already offered.
 	total := 0
 	for _, vid := range vids {
+		v := m.vertices[vid]
 		if dir == DirOut || dir == DirBoth {
-			total += len(m.out[vid])
+			total += len(v.adj(DirOut))
 		}
 		if dir == DirIn || dir == DirBoth {
-			total += len(m.in[vid])
+			total += len(v.adj(DirIn))
 		}
 	}
 	backing := make([]*Element, 0, total)
-	var seen map[string]bool
 	for i, vid := range vids {
 		if err := ScanTick(ctx, i); err != nil {
 			return nil, err
 		}
+		v := m.vertices[vid]
 		start := len(backing)
-		add := func(eids []string) {
-			for _, eid := range eids {
-				if seen != nil && seen[eid] {
-					continue
-				}
-				el := m.edges[eid]
-				if el != nil && q.Matches(el) {
-					if seen != nil {
-						seen[eid] = true
-					}
+		if dir == DirOut || dir == DirBoth {
+			for _, el := range v.adj(DirOut) {
+				if q.Matches(el) {
 					backing = append(backing, el)
 				}
 			}
 		}
-		if dir == DirBoth {
-			if seen == nil {
-				seen = map[string]bool{}
-			} else {
-				clear(seen)
-			}
-		}
-		if dir == DirOut || dir == DirBoth {
-			add(m.out[vid])
-		}
 		if dir == DirIn || dir == DirBoth {
-			add(m.in[vid])
+			for _, el := range v.adj(DirIn) {
+				if (dir != DirBoth || el.OutV != el.InV) && q.Matches(el) {
+					backing = append(backing, el)
+				}
+			}
 		}
 		if len(backing) > start {
 			out[i] = backing[start:len(backing):len(backing)]
@@ -308,9 +317,9 @@ func (m *MemBackend) AggE(ctx context.Context, q *Query, agg Agg) (types.Value, 
 }
 
 // AggVertexEdges implements Backend. A one-direction count sums adjacency
-// lengths over the distinct vids and looks an edge up only when q filters:
-// an out (in) edge sits in exactly one vertex's out (in) list, and mem never
-// deletes. DirBoth (a self-loop sits in both lists) and the other aggregates
+// lengths over the vids, once per occurrence, and reads an edge only when
+// q filters: an out (in) edge sits in exactly one vertex's out (in) list.
+// DirBoth (a self-loop sits in both lists) and the other aggregates
 // materialize the edges through VertexEdges.
 func (m *MemBackend) AggVertexEdges(ctx context.Context, vids []string, dir Direction, q *Query, agg Agg) (types.Value, error) {
 	if agg.Kind != AggCount || (dir != DirOut && dir != DirIn) {
@@ -318,35 +327,26 @@ func (m *MemBackend) AggVertexEdges(ctx context.Context, vids []string, dir Dire
 		if err != nil {
 			return types.Null, err
 		}
-		return AggregateElements(els, agg)
+		return AggregateVertexEdges(els, vids, dir, agg)
 	}
 	if err := Interrupted(ctx); err != nil {
 		return types.Null, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	adj := m.out
-	if dir == DirIn {
-		adj = m.in
-	}
 	filter := q != nil && (len(q.IDs) > 0 || len(q.Labels) > 0 || len(q.Preds) > 0)
-	seen := make(map[string]struct{}, len(vids))
 	var n int64
 	for i, vid := range vids {
 		if err := ScanTick(ctx, i); err != nil {
 			return types.Null, err
 		}
-		if _, dup := seen[vid]; dup {
-			continue
-		}
-		seen[vid] = struct{}{}
-		eids := adj[vid]
+		es := m.vertices[vid].adj(dir)
 		if !filter {
-			n += int64(len(eids))
+			n += int64(len(es))
 			continue
 		}
-		for _, eid := range eids {
-			if q.Matches(m.edges[eid]) {
+		for _, el := range es {
+			if q.Matches(el) {
 				n++
 			}
 		}

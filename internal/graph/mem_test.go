@@ -10,11 +10,15 @@ import (
 	"db2graph/internal/sql/types"
 )
 
-// TestMemVertexEdgesDifferential checks MemBackend's VertexEdges and its
-// count against a reference that scans every edge in insertion order: the
-// edges whose counted endpoint is among the distinct vids, each once, in
-// first-vid-occurrence order, and their count. Vid lists repeat ids and
-// name unknown ones; the graph has self-loops; q ranges over unfiltered and
+// TestMemVertexEdgesDifferential checks MemBackend's VertexEdges, its
+// per-vertex EdgesForVertices groups, and its count and sum against a
+// reference that scans every edge in insertion order: the edges whose
+// counted endpoint is among the distinct vids, each once, in
+// first-vid-occurrence order (a group: the reference for its vid alone);
+// and their count and sum of w over
+// the vid multiset, an edge once per occurrence of its counted endpoint
+// (both(): of its more frequent end). Vid lists repeat ids and name
+// unknown ones; the graph has self-loops; q ranges over unfiltered and
 // filtered queries.
 func TestMemVertexEdgesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -101,12 +105,43 @@ func TestMemVertexEdgesDifferential(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("VertexEdges(%v, %v, q%d)\n got %v\nwant %v", vids, dir, qi, got, want)
 				}
+				groups, err := m.EdgesForVertices(ctx, vids, dir, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, vid := range vids {
+					if w := reference([]string{vid}, dir, q); fmt.Sprint(groups[i]) != fmt.Sprint(w) {
+						t.Fatalf("EdgesForVertices(%v, %v, q%d)[%d]\n got %v\nwant %v", vids, dir, qi, i, groups[i], w)
+					}
+				}
+				var wantN, wantSum int64
+				for _, e := range want {
+					var out, in int64
+					for _, vid := range vids {
+						if vid == e.OutV {
+							out++
+						}
+						if vid == e.InV {
+							in++
+						}
+					}
+					w := map[Direction]int64{DirOut: out, DirIn: in, DirBoth: max(out, in)}[dir]
+					wantN += w
+					wantSum += w * e.Props["w"].I
+				}
 				n, err := m.AggVertexEdges(ctx, vids, dir, q, Agg{Kind: AggCount})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n.Kind != types.KindInt || n.I != int64(len(want)) {
-					t.Fatalf("count(%v, %v, q%d) = %v, want %d", vids, dir, qi, n, len(want))
+				if n.Kind != types.KindInt || n.I != wantN {
+					t.Fatalf("count(%v, %v, q%d) = %v, want %d", vids, dir, qi, n, wantN)
+				}
+				sum, err := m.AggVertexEdges(ctx, vids, dir, q, Agg{Kind: AggSum, Key: "w"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) > 0 && sum != types.NewFloat(float64(wantSum)) || len(want) == 0 && !sum.IsNull() {
+					t.Fatalf("sum(%v, %v, q%d) = %v, want %d", vids, dir, qi, sum, wantSum)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -701,6 +702,9 @@ func runGraphStep(ctx *execCtx, x *GraphStep, isFirst bool) ([]*Traverser, error
 }
 
 func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, error) {
+	if x.PushAgg != nil {
+		return pushVertexAgg(ctx, x, in)
+	}
 	// Source vertices: either fused seed ids or incoming vertex traversers,
 	// unique in first-appearance order, each with the traversers on it
 	// (parents[i] is vids[i]'s). travGroup keeps the dominant
@@ -742,51 +746,7 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 		}
 	}
 	if len(vids) == 0 {
-		if x.PushAgg != nil {
-			// A fused aggregate must still emit its empty-stream result
-			// (count() of nothing is 0; other aggregates yield NULL), the
-			// same as the unfused AggregateStep over an empty frame.
-			if x.PushAgg.Kind == graph.AggCount {
-				return []*Traverser{{Obj: types.NewInt(0)}}, nil
-			}
-			return []*Traverser{{Obj: types.Null}}, nil
-		}
 		return nil, nil
-	}
-
-	if x.PushAgg != nil {
-		// bothE() traverses an edge joining two frontier vertices once from
-		// each end but stores it once, so it only pushes down for a single
-		// source vertex.
-		if x.Dir != graph.DirBoth || len(vids) == 1 {
-			v, ok, err := pushVertexAgg(ctx, x, vids, parents)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return []*Traverser{{Obj: v}}, nil
-			}
-		}
-		cp := *x
-		cp.PushAgg = nil
-		frame, err := runVertexStep(ctx, &cp, in)
-		if err != nil {
-			return nil, err
-		}
-		if x.PushAgg.Kind == graph.AggCount {
-			return []*Traverser{{Obj: types.NewInt(int64(len(frame)))}}, nil
-		}
-		els := make([]*graph.Element, 0, len(frame))
-		for _, tr := range frame {
-			if el, ok := tr.element(); ok {
-				els = append(els, el)
-			}
-		}
-		v, err := graph.AggregateElements(els, *x.PushAgg)
-		if err != nil {
-			return nil, err
-		}
-		return []*Traverser{{Obj: v}}, nil
 	}
 
 	// Emission is vertex-major: each source vertex, in first-appearance
@@ -796,55 +756,61 @@ func runVertexStep(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, 
 	return vertexFanout(ctx, x, vids, parents)
 }
 
-// pushVertexAgg answers a fused VertexStep aggregate with AggVertexEdges
-// calls; ok is false when the aggregate must be materialized instead. The
-// backend aggregates over a set of distinct vertex ids, which equals the
-// traverser stream's aggregate only when every source vertex carries one
-// traverser. count() is linear in multiplicity, so a duplicated frontier
-// (e.g. after a non-deduped multi-path hop) still pushes down: the source
-// vertices are split into classes by how many traversers sit on each (m),
-// each class is counted in one call, in first-appearance order, and the
-// result is Σ m × count_m. An out()/in() edge has one source (resp.
-// destination) vertex, so the classes partition the counted edges. Other
-// aggregates are not linear in multiplicity and materialize on a
-// duplicated frontier.
-func pushVertexAgg(ctx *execCtx, x *VertexStep, vids []string, parents []travGroup) (types.Value, bool, error) {
-	unique := true
-	for _, ps := range parents {
-		if ps.n != 1 {
-			unique = false
-			break
+// pushVertexAgg answers a VertexStep with a fused aggregate. The frontier
+// is a multiset, each source vertex once per traverser on it, which is what
+// one AggVertexEdges call aggregates over, so the call answers what the
+// traverser stream would. bothE() traverses an edge joining two frontier
+// vertices once from each end but stores it once, so it only pushes down
+// for a single source vertex, whose m traversers AggVertexEdges answers as
+// m copies of the one-vertex result; a wider both() frontier materializes.
+func pushVertexAgg(ctx *execCtx, x *VertexStep, in []*Traverser) ([]*Traverser, error) {
+	ids := x.SeedIDs
+	if len(ids) == 0 {
+		ids = make([]string, len(in))
+		for i, tr := range in {
+			el, ok := tr.element()
+			if !ok || el.IsEdge {
+				return nil, fmt.Errorf("gremlin: %s() requires vertices", x.Name())
+			}
+			ids[i] = el.ID
 		}
 	}
-	if unique {
-		v, err := ctx.backend.AggVertexEdges(ctx.goctx, vids, x.Dir, x.Query, *x.PushAgg)
-		return v, err == nil, err
-	}
-	if x.PushAgg.Kind != graph.AggCount {
-		return types.Null, false, nil
-	}
-	var mults []int // distinct multiplicities, first-appearance order
-	classes := make(map[int][]string)
-	for i, vid := range vids {
-		m := parents[i].n
-		if _, seen := classes[m]; !seen {
-			mults = append(mults, m)
+	if len(ids) == 0 {
+		// A fused aggregate must still emit its empty-stream result
+		// (count() of nothing is 0; other aggregates yield NULL), the
+		// same as the unfused AggregateStep over an empty frame.
+		if x.PushAgg.Kind == graph.AggCount {
+			return []*Traverser{{Obj: types.NewInt(0)}}, nil
 		}
-		classes[m] = append(classes[m], vid)
+		return []*Traverser{{Obj: types.Null}}, nil
 	}
-	var total int64
-	for _, m := range mults {
-		v, err := ctx.backend.AggVertexEdges(ctx.goctx, classes[m], x.Dir, x.Query, *x.PushAgg)
+	if x.Dir != graph.DirBoth || !slices.ContainsFunc(ids, func(id string) bool { return id != ids[0] }) {
+		v, err := ctx.backend.AggVertexEdges(ctx.goctx, ids, x.Dir, x.Query, *x.PushAgg)
 		if err != nil {
-			return types.Null, false, err
+			return nil, err
 		}
-		n, ok := v.Int()
-		if !ok {
-			return types.Null, false, fmt.Errorf("gremlin: backend count is %v, want an integer", v)
-		}
-		total += int64(m) * n
+		return []*Traverser{{Obj: v}}, nil
 	}
-	return types.NewInt(total), true, nil
+	cp := *x
+	cp.PushAgg = nil
+	frame, err := runVertexStep(ctx, &cp, in)
+	if err != nil {
+		return nil, err
+	}
+	if x.PushAgg.Kind == graph.AggCount {
+		return []*Traverser{{Obj: types.NewInt(int64(len(frame)))}}, nil
+	}
+	els := make([]*graph.Element, 0, len(frame))
+	for _, tr := range frame {
+		if el, ok := tr.element(); ok {
+			els = append(els, el)
+		}
+	}
+	v, err := graph.AggregateElements(els, *x.PushAgg)
+	if err != nil {
+		return nil, err
+	}
+	return []*Traverser{{Obj: v}}, nil
 }
 
 // travGroup collects the traversers anchored at one source vertex without
@@ -961,10 +927,12 @@ func vertexFanout(ctx *execCtx, x *VertexStep, vids []string, parents []travGrou
 		}
 	}
 	resolved := make([]*graph.Element, len(hits))
-	// Batch by end direction to keep the backend contract simple.
+	// Batch by end direction to keep the backend contract simple; one
+	// batch and index buffer serve both directions.
+	batch := make([]*graph.Element, 0, len(hits))
+	idx := make([]int, 0, len(hits))
 	for _, dir := range []graph.Direction{graph.DirOut, graph.DirIn} {
-		batch := make([]*graph.Element, 0, len(hits))
-		idx := make([]int, 0, len(hits))
+		batch, idx = batch[:0], idx[:0]
 		for i := range hits {
 			if ends[i] == dir {
 				batch = append(batch, hits[i].edge)

@@ -144,9 +144,11 @@ func (c *PlanCache) putTokens(masked []byte, tp *tokenPlan) {
 // get returns the cached plan for k, promoting it to most recently used.
 func (c *PlanCache) get(k planKey) (*cachedPlan, bool) {
 	c.mu.Lock()
+	var p *cachedPlan
 	el, ok := c.entries[k]
 	if ok {
 		c.lru.MoveToFront(el)
+		p = el.Value.(*cachedPlan) // put may replace it once unlocked
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -154,7 +156,7 @@ func (c *PlanCache) get(k planKey) (*cachedPlan, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cachedPlan), true
+	return p, true
 }
 
 // put inserts a compiled plan, evicting the least recently used entry at

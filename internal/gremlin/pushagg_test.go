@@ -44,9 +44,10 @@ func dupFrontierGraph(t *testing.T) *graph.MemBackend {
 }
 
 // TestDuplicatedFrontierCountPushdown checks that a fused count over a
-// frontier with repeated vertices is answered by one AggVertexEdges call
-// per distinct multiplicity, with no materializing call on the last hop,
-// and that the answer equals the unoptimized traversal's.
+// frontier with repeated vertices, whatever their multiplicities, is
+// answered by one AggVertexEdges call over the frontier multiset, with no
+// materializing call on the last hop, and that the answer equals the
+// unoptimized traversal's.
 func TestDuplicatedFrontierCountPushdown(t *testing.T) {
 	m := dupFrontierGraph(t)
 	reg := telemetry.NewRegistry()
@@ -55,7 +56,7 @@ func TestDuplicatedFrontierCountPushdown(t *testing.T) {
 	naive := g.WithoutStrategies()
 
 	// The distinct multiplicities of g.V('a','b').out(), counted
-	// independently of the engine's grouping.
+	// independently of the engine's grouping: one call covers all three.
 	frontier, err := g.V("a", "b").Out().ToList()
 	if err != nil {
 		t.Fatal(err)
@@ -75,20 +76,19 @@ func TestDuplicatedFrontierCountPushdown(t *testing.T) {
 	materializing := []string{"VertexEdges", "EdgeVertices", "VerticesByIDs", "EdgesForVertices"}
 	first := func(s *Source) *Traversal { return s.V("a", "b").Out() }
 	cases := []struct {
-		name     string
-		prefix   func(*Source) *Traversal // the steps before the counted hop, or nil
-		query    func(*Source) *Traversal
-		aggCalls int // AggVertexEdges calls on the counted hop
+		name   string
+		prefix func(*Source) *Traversal // the steps before the counted hop, or nil
+		query  func(*Source) *Traversal
 	}{
-		{"out().out()", first, func(s *Source) *Traversal { return first(s).Out().Count() }, len(distinct)},
-		{"out().in()", first, func(s *Source) *Traversal { return first(s).In().Count() }, len(distinct)},
-		{"out().outE()", first, func(s *Source) *Traversal { return first(s).OutE().Count() }, len(distinct)},
-		{"out().inE('x')", first, func(s *Source) *Traversal { return first(s).InE("x").Count() }, len(distinct)},
+		{"out().out()", first, func(s *Source) *Traversal { return first(s).Out().Count() }},
+		{"out().in()", first, func(s *Source) *Traversal { return first(s).In().Count() }},
+		{"out().outE()", first, func(s *Source) *Traversal { return first(s).OutE().Count() }},
+		{"out().inE('x')", first, func(s *Source) *Traversal { return first(s).InE("x").Count() }},
 		// Fused seed ids with a repeat: the only hop is the counted one.
-		{"V('a','a').out()", nil, func(s *Source) *Traversal { return s.V("a", "a").Out().Count() }, 1},
+		{"V('a','a').out()", nil, func(s *Source) *Traversal { return s.V("a", "a").Out().Count() }},
 		// both() pushes down over a single source vertex, repeats and a
 		// self-loop included.
-		{"V('c','c').bothE()", nil, func(s *Source) *Traversal { return s.V("c", "c").BothE().Count() }, 1},
+		{"V('c','c').bothE()", nil, func(s *Source) *Traversal { return s.V("c", "c").BothE().Count() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,8 +121,8 @@ func TestDuplicatedFrontierCountPushdown(t *testing.T) {
 					t.Errorf("last hop made %d %s calls, want 0", n, op)
 				}
 			}
-			if n := c1["AggVertexEdges"] - c0["AggVertexEdges"]; n != tc.aggCalls {
-				t.Errorf("AggVertexEdges calls = %d, want %d", n, tc.aggCalls)
+			if n := c1["AggVertexEdges"] - c0["AggVertexEdges"]; n != 1 {
+				t.Errorf("AggVertexEdges calls = %d, want 1", n)
 			}
 		})
 	}

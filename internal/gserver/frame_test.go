@@ -318,6 +318,8 @@ func FuzzGraphOpRequest(f *testing.F) {
 			Query: &graph.Query{Labels: []string{"l"}, Preds: []graph.Pred{
 				{Key: "w", Op: graph.OpWithin, Values: []types.Value{types.NewFloat(nan), types.NewInt(1)}},
 				{Key: "x", Op: graph.OpGt, Value: types.NewFloat(math.Inf(-1))}}}}},
+		// A duplicated frontier: the ids repeat, and must round-trip as sent.
+		{GraphOp: &GraphOp{Method: OpCountVertexEdges, IDs: []string{"v", "w", "v", "v"}, Dir: graph.DirOut}},
 	} {
 		f.Add(appendRequest(nil, req))
 	}

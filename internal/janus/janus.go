@@ -916,7 +916,7 @@ func (g *Graph) AggVertexEdges(ctx context.Context, vids []string, dir graph.Dir
 	if err != nil {
 		return types.Null, err
 	}
-	return graph.AggregateElements(els, agg)
+	return graph.AggregateVertexEdges(els, vids, dir, agg)
 }
 
 var (

@@ -230,7 +230,14 @@ type ScanNode struct {
 	rows   []storage.Row
 	pos    int
 	params *Params
-	keys   []storage.Key
+	// Per-execution scratch a pooled plan keeps: the probe keys, the two
+	// key tuples (Key and In, or Lo and Hi), the probe's repeat set, and
+	// the row callback with the error it reports.
+	keys    []storage.Key
+	tuples  [2][]types.Value
+	seen    storage.ProbeSet
+	emit    func(storage.Row) bool
+	emitErr error
 }
 
 // Columns implements Node.
@@ -244,44 +251,33 @@ func (s *ScanNode) Open(ctx *Context) error {
 	if ctx != nil {
 		s.params = &ctx.Params
 	}
-	var scanErr error
-	emit := func(row storage.Row) bool {
-		if s.Filter != nil {
-			v, err := s.Filter(row, s.params)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !v.Bool() {
-				return true
-			}
-		}
-		s.rows = append(s.rows, row)
-		return true
+	s.emitErr = nil
+	if s.emit == nil {
+		s.emit = s.emitRow
 	}
 	switch s.Access {
 	case AccessFull:
-		s.Table.Scan(func(_ storage.RowID, row storage.Row) bool { return emit(row) })
+		s.Table.Scan(func(_ storage.RowID, row storage.Row) bool { return s.emit(row) })
 	case AccessPK, AccessIndex:
 		keys, err := s.keySet(s.params)
 		if err != nil {
 			return err
 		}
 		if !s.CountOnly {
-			s.Index.Probe(keys, emit)
+			s.Index.Probe(keys, &s.seen, s.emit)
 			break
 		}
-		s.rows = append(s.rows, storage.Row{types.NewInt(int64(s.Index.Probe(keys, nil)))})
+		s.rows = append(s.rows, storage.Row{types.NewInt(int64(s.Index.Probe(keys, &s.seen, nil)))})
 	case AccessIndexRange:
-		lo, err := evalKey(s.Lo, nil, s.params)
+		lo, err := evalScratch(&s.tuples[0], s.Lo, s.params)
 		if err != nil {
 			return err
 		}
-		hi, err := evalKey(s.Hi, nil, s.params)
+		hi, err := evalScratch(&s.tuples[1], s.Hi, s.params)
 		if err != nil {
 			return err
 		}
-		if err := s.Index.Range(lo, hi, emit); err != nil {
+		if err := s.Index.Range(lo, hi, s.emit); err != nil {
 			return err
 		}
 	case AccessAsOf:
@@ -293,24 +289,41 @@ func (s *ScanNode) Open(ctx *Context) error {
 		if !ok {
 			return fmt.Errorf("exec: AS OF timestamp must be numeric, got %s", tv)
 		}
-		s.Table.ScanAsOf(ts, emit)
+		s.Table.ScanAsOf(ts, s.emit)
 	default:
 		return fmt.Errorf("exec: unknown scan access %d", s.Access)
 	}
-	return scanErr
+	return s.emitErr
+}
+
+// emitRow keeps row if it passes the filter; a filter error stops the scan
+// and is reported by Open.
+func (s *ScanNode) emitRow(row storage.Row) bool {
+	if s.Filter != nil {
+		v, err := s.Filter(row, s.params)
+		if err != nil {
+			s.emitErr = err
+			return false
+		}
+		if !v.Bool() {
+			return true
+		}
+	}
+	s.rows = append(s.rows, row)
+	return true
 }
 
 // keySet evaluates the probe keys of an AccessPK/AccessIndex scan. A key
 // with a NULL component equals nothing and is left out. The slice is the
 // node's scratch, valid until the next call.
 func (s *ScanNode) keySet(params *Params) ([]storage.Key, error) {
-	key, err := evalKey(s.Key, nil, params)
+	key, err := evalScratch(&s.tuples[0], s.Key, params)
 	if err != nil {
 		return nil, err
 	}
 	in, ok := params.List(s.InParam)
 	if !ok {
-		if in, err = evalKey(s.In, nil, params); err != nil {
+		if in, err = evalScratch(&s.tuples[1], s.In, params); err != nil {
 			return nil, err
 		}
 	}
@@ -324,23 +337,46 @@ func (s *ScanNode) keySet(params *Params) ([]storage.Key, error) {
 	return s.keys, nil
 }
 
+// evalScratch evaluates exprs into *buf, a node's scratch tuple, valid
+// until the next call; nil exprs yield nil, and a nil entry stays NULL.
+func evalScratch(buf *[]types.Value, exprs []ExprFn, params *Params) ([]types.Value, error) {
+	if exprs == nil {
+		return nil, nil
+	}
+	if cap(*buf) < len(exprs) {
+		*buf = make([]types.Value, len(exprs))
+	}
+	out := (*buf)[:len(exprs)]
+	clear(out)
+	return out, evalInto(out, exprs, nil, params)
+}
+
 // evalKey evaluates exprs into a new tuple; a nil entry stays NULL.
 func evalKey(exprs []ExprFn, row []types.Value, params *Params) ([]types.Value, error) {
 	if exprs == nil {
 		return nil, nil
 	}
 	out := make([]types.Value, len(exprs))
+	if err := evalInto(out, exprs, row, params); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// evalInto evaluates exprs into out, which is as long; a nil entry leaves
+// its slot alone.
+func evalInto(out []types.Value, exprs []ExprFn, row []types.Value, params *Params) error {
 	for i, fn := range exprs {
 		if fn == nil {
 			continue
 		}
 		v, err := fn(row, params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 func hasNullKey(key []types.Value) bool {

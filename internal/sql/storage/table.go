@@ -458,13 +458,15 @@ func (t *Table) Index(name string) *Index {
 // Probe visits the live rows whose key is one of keys, under one shared
 // lock of the table, until fn returns false, and returns how many it found.
 // Keys go in order, a key's rows in posting order; a repeated key is
-// skipped, so no row comes twice. A nil fn only sums the distinct keys'
-// posting lengths. fn must not modify the row, nor take the table's lock.
-func (ix *Index) Probe(keys []Key, fn func(Row) bool) int {
+// skipped, so no row comes twice. seen is the scratch that tells repeats
+// apart; a caller that probes again and again keeps one and reuses it. A
+// nil fn only sums the distinct keys' posting lengths. fn must not modify
+// the row, nor take the table's lock.
+func (ix *Index) Probe(keys []Key, seen *ProbeSet, fn func(Row) bool) int {
 	t := ix.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	hit := hits{keys: len(keys)}
+	seen.n, seen.big = 0, false
 	var one [1]RowID
 	n := 0
 	for _, k := range keys {
@@ -473,7 +475,7 @@ func (ix *Index) Probe(keys []Key, fn func(Row) bool) int {
 			one[0] = id
 			ids = one[:]
 		}
-		if len(ids) == 0 || !hit.first(ids[0]) {
+		if len(ids) == 0 || !seen.first(ids[0], len(keys)) {
 			continue
 		}
 		n += len(ids)
@@ -486,21 +488,23 @@ func (ix *Index) Probe(keys []Key, fn func(Row) bool) int {
 	return n
 }
 
-// hits remembers the keys a probe has found (a repeated miss finds nothing
-// again), each by its posting's first row: distinct keys have disjoint
-// postings. A frontier's probe hits few keys, so they are compared pairwise
-// and moved to a set, sized for every key, only past a handful.
-type hits struct {
+// ProbeSet remembers the keys a probe has found (a repeated miss finds
+// nothing again), each by its posting's first row: distinct keys have
+// disjoint postings. A frontier's probe hits few keys, so they are
+// compared pairwise and moved to a set only past a handful; the set is
+// kept, and cleared for the next probe that needs it. The zero value is
+// ready to use.
+type ProbeSet struct {
 	few  [16]RowID
 	n    int
 	many map[RowID]struct{}
-	keys int
+	big  bool // many holds this probe's keys
 }
 
 // first reports whether the key whose posting starts at id was not seen
-// before, and remembers it.
-func (h *hits) first(id RowID) bool {
-	if h.many != nil {
+// before, and remembers it; keys sizes a new set.
+func (h *ProbeSet) first(id RowID, keys int) bool {
+	if h.big {
 		_, dup := h.many[id]
 		h.many[id] = struct{}{}
 		return !dup
@@ -513,7 +517,12 @@ func (h *hits) first(id RowID) bool {
 		h.n++
 		return true
 	}
-	h.many = make(map[RowID]struct{}, h.keys)
+	if h.many == nil {
+		h.many = make(map[RowID]struct{}, keys)
+	} else {
+		clear(h.many)
+	}
+	h.big = true
 	for _, seen := range h.few {
 		h.many[seen] = struct{}{}
 	}

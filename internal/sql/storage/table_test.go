@@ -166,11 +166,50 @@ func TestHashIndexLookup(t *testing.T) {
 	if len(rows) != 20 {
 		t.Fatalf("key set probe returned %d rows, want 20", len(rows))
 	}
-	if n := ix.Probe([]Key{KeyOf(types.NewInt(3)), KeyOf(types.NewInt(3)), KeyOf(types.NewInt(42))}, nil); n != 10 {
+	if n := ix.Probe([]Key{KeyOf(types.NewInt(3)), KeyOf(types.NewInt(3)), KeyOf(types.NewInt(42))}, &ProbeSet{}, nil); n != 10 {
 		t.Fatalf("count = %d, want 10", n)
 	}
-	if n := tbl.PrimaryKey().Probe([]Key{KeyOf(types.NewInt(1)), KeyOf(types.NewInt(1)), KeyOf(types.NewInt(99)), KeyOf(types.NewInt(100))}, nil); n != 2 {
+	if n := tbl.PrimaryKey().Probe([]Key{KeyOf(types.NewInt(1)), KeyOf(types.NewInt(1)), KeyOf(types.NewInt(99)), KeyOf(types.NewInt(100))}, &ProbeSet{}, nil); n != 2 {
 		t.Fatalf("primary key count = %d, want 2", n)
+	}
+}
+
+// TestProbeSetReuse probes one primary key again and again through one
+// ProbeSet: key sets past the pairwise handful, with and without repeats,
+// alternate with small ones, and a set kept from an earlier probe must
+// neither hide a key nor let a repeat count twice.
+func TestProbeSetReuse(t *testing.T) {
+	tbl := NewTable(patientSchema(false))
+	for i := int64(0); i < 100; i++ {
+		if _, err := tbl.Insert(row(i, "n", "", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := func(lo, hi int64, repeat bool) []Key {
+		var out []Key
+		for i := lo; i < hi; i++ {
+			out = append(out, KeyOf(types.NewInt(i)))
+			if repeat {
+				out = append(out, KeyOf(types.NewInt(i)))
+			}
+		}
+		return out
+	}
+	var seen ProbeSet
+	for round, c := range []struct {
+		keys []Key
+		want int
+	}{
+		{keys(0, 40, true), 40},
+		{keys(0, 40, false), 40},
+		{keys(5, 8, true), 3},
+		{keys(30, 90, true), 60},
+		{keys(30, 90, true), 60},
+		{append(keys(0, 20, false), keys(0, 20, false)...), 20},
+	} {
+		if n := tbl.PrimaryKey().Probe(c.keys, &seen, nil); n != c.want {
+			t.Fatalf("round %d: count %d, want %d", round, n, c.want)
+		}
 	}
 }
 
@@ -181,7 +220,7 @@ func probeAll(ix *Index, vals ...types.Value) []Row {
 		keys[i] = KeyOf(v)
 	}
 	var out []Row
-	ix.Probe(keys, func(r Row) bool {
+	ix.Probe(keys, &ProbeSet{}, func(r Row) bool {
 		out = append(out, r)
 		return true
 	})
